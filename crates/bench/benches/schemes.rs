@@ -51,6 +51,37 @@ fn bench_queries(b: &mut Bench) {
             }
         });
 
+        // The regime kNN hits: every sweep follows a fresh record, so the
+        // memo is cold and each query reaches the exact tier. An iteration
+        // records the next unknown pair, then asks `bounds(u, v)` for every
+        // `v` from a rotating source `u`. The scheme is rebuilt if the
+        // supply of unknown pairs runs out.
+        let mut sweep = Splub::new(n, 1.0);
+        feed(&mut sweep, &*metric, n);
+        let fresh: Vec<(Pair, f64)> = {
+            let oracle = Oracle::new(&*metric);
+            Pair::all(n)
+                .step_by(3)
+                .filter(|&p| sweep.known(p).is_none())
+                .map(|p| (p, oracle.call_pair(p)))
+                .collect()
+        };
+        let mut next = 0;
+        b.bench("bound_query", &format!("splub_sweep/{n}"), || {
+            if next == fresh.len() {
+                sweep = Splub::new(n, 1.0);
+                feed(&mut sweep, &*metric, n);
+                next = 0;
+            }
+            let (p, d) = fresh[next];
+            sweep.record(p, d);
+            let u = (next % n) as u32;
+            next += 1;
+            for v in (0..n as u32).filter(|&v| v != u) {
+                black_box(sweep.bounds(Pair::new(u, v)));
+            }
+        });
+
         let mut adm = Adm::new(n, 1.0);
         feed(&mut adm, &*metric, n);
         b.bench("bound_query", &format!("adm_query/{n}"), || {

@@ -75,6 +75,10 @@ impl Bench {
                 return;
             }
         }
+        // One untimed call first: a cold call (lazy allocation, cache or
+        // memo fill) can alone outlast `min_sample_time`, and sizing from
+        // it would commit `iters: 1` for a cell whose warm call is fast.
+        f();
         // Warm up and size the per-sample iteration count so one sample
         // spans at least `min_sample_time`.
         let mut iters: u64 = 1;
@@ -187,6 +191,7 @@ fn fmt_ns(ns: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::hint::black_box;
 
     #[test]
     fn measures_and_reports() {
@@ -204,6 +209,27 @@ mod tests {
         assert_eq!(b.rows.len(), 1);
         assert!(b.rows[0].samples.iter().all(|&s| s > 0.0));
         b.finish();
+    }
+
+    #[test]
+    fn cold_first_call_does_not_size_iterations() {
+        // The first call alone exceeds the sample budget; warm calls are
+        // trivial, so the sized count must come from them.
+        let mut b = Bench {
+            filter: None,
+            sample_size: 3,
+            min_sample_time: Duration::from_millis(2),
+            rows: Vec::new(),
+            name: None,
+        };
+        let mut cold = true;
+        b.bench("smoke", "cold", || {
+            if std::mem::take(&mut cold) {
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            black_box(1u64);
+        });
+        assert!(b.rows[0].iters_per_sample > 1, "sized from the cold call");
     }
 
     #[test]

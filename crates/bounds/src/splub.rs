@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 
 use prox_core::invariant::InvariantExt;
 use prox_core::{ObjectId, Pair, SpecBounds, SpecScratch};
-use prox_graph::{Ado, Dijkstra, DistMap, PartialGraph};
+use prox_graph::{Ado, Dijkstra, Frontier, PartialGraph, SpLabels};
 
 use crate::resolver::CASCADE_EPS;
 use crate::scheme::{CascadeTier, GoalBounds, QueryGoal};
@@ -16,16 +16,14 @@ use crate::BoundScheme;
 /// sketches (I5: thread-count must not perturb anything observable).
 const ADO_SEED: u64 = 0x05EE_DAD0;
 
-/// `(source, generation, edge count)` of the shortest-path tree a Dijkstra
-/// scratch currently holds. The generation/edge-count pair is what makes
-/// *incremental repair* safe: when the graph has only grown since the tree
-/// was settled (no retraction in between), the appended suffix
-/// `edges()[m..]` is exactly the set of new edges, and a decrease-only
-/// Ramalingam–Reps repair from their endpoints reproduces the from-scratch
-/// tree bitwise (see `Dijkstra::repair`).
+/// `(generation, edge count)` of the graph state a cached tree was settled
+/// at. The pair is what makes *incremental repair* safe: when the graph has
+/// only grown since the tree was settled (no retraction in between), the
+/// appended suffix `edges()[m..]` is exactly the set of new edges, and a
+/// decrease-only Ramalingam–Reps repair from their endpoints reproduces the
+/// from-scratch tree bitwise (see `SpLabels::repair`).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 struct TreeTag {
-    src: ObjectId,
     gen: u64,
     m: usize,
 }
@@ -41,9 +39,9 @@ struct TreeTag {
 ///   `w − sp(a, k) − sp(b, l)` (and the symmetric assignment), maximized
 ///   (Definition 2 / Equation 3).
 ///
-/// Both come out of **two** Dijkstra runs (one per endpoint) plus one pass
-/// over the known edge list: `O(m + n log n)` per query, `O(1)` per update.
-/// Lemma 4.1 proves these bounds are the tightest derivable from the
+/// Both come out of **two** shortest-path trees (one per endpoint) plus one
+/// pass over the known edge list: `O(m + n log n)` per query, `O(1)` per
+/// update. Lemma 4.1 proves these bounds are the tightest derivable from the
 /// triangle inequality on paths, i.e. identical to what the `O(n²)`-update
 /// ADM baseline maintains — a property the cross-scheme test-suite checks on
 /// random instances.
@@ -63,19 +61,36 @@ struct TreeTag {
 /// 3. **Bounded bidirectional Dijkstra** (goal-aware queries only) — a
 ///    meeting-point search with cutoff `v − CASCADE_EPS` certifies
 ///    `d < v` from a real path long before either full tree settles.
-/// 4. **Exact tier** — two SSSP trees (incrementally repaired across pure
-///    growth) plus the wrap fold.
+/// 4. **Exact tier** — the two endpoints' trees from a source-keyed cache
+///    plus the wrap fold.
+///
+/// # The exact tier's caches
+///
+/// Every source keeps its own tree (labels only, `8·n` bytes, allocated on
+/// first use; all trees share one heap), tagged with the graph state it was
+/// settled at. A stale tree is repaired over the edges recorded since its
+/// tag and rebuilt from scratch only across a retraction, so a sweep that
+/// fixes one endpoint and varies the other — kNN's candidate ordering —
+/// settles each tree once instead of once per query. The wrap fold reads a
+/// weight-sorted (descending) copy of the edge list and stops at the first
+/// edge with `w ≤ lb`; the copy absorbs new edges lazily at the exact tier,
+/// never on `record`.
 pub struct Splub {
     graph: PartialGraph,
     max_distance: f64,
-    dij_a: Dijkstra,
-    dij_b: Dijkstra,
-    tag_a: Option<TreeTag>,
-    tag_b: Option<TreeTag>,
+    /// Exact-tier trees by source id; `None` until the source is first
+    /// queried.
+    trees: Vec<Option<(SpLabels, TreeTag)>>,
+    /// The heap every cached tree runs and repairs through.
+    frontier: Frontier,
     /// Generation right after the most recent successful retraction; trees
     /// settled before it must not be repaired incrementally (the retracted
     /// edge may have carried their labels).
     last_retract_gen: u64,
+    /// The known edges sorted by weight, descending, for the exact tier's
+    /// early-exit fold. Holds exactly the prefix `edges()[..by_weight.len()]`
+    /// (a retraction empties it), so a sync merges the suffix after it.
+    by_weight: Vec<(Pair, f64)>,
     /// Exact `(lb, ub)` per pair key, valid only at `memo_gen`.
     memo: BTreeMap<u64, (f64, f64)>,
     memo_gen: u64,
@@ -87,14 +102,16 @@ pub struct Splub {
     dij_bi_b: Dijkstra,
 }
 
-/// Per-worker scratch for speculative SPLUB bound queries: the same
-/// two-slot source-tagged Dijkstra cache, minus the generation tag (the
-/// snapshot graph is frozen while the view is borrowed).
+/// Per-worker scratch for speculative SPLUB bound queries. The snapshot
+/// graph is frozen while the view is borrowed, so a tree is keyed by its
+/// source alone (no tag, no repair). A scratch serves one worker's short
+/// burst of queries, so it keeps two slots — the last `lo` and `hi`
+/// endpoint — sharing one heap, rather than the live scheme's tree per
+/// source.
 struct SplubScratch {
-    dij_a: Dijkstra,
-    dij_b: Dijkstra,
-    src_a: Option<ObjectId>,
-    src_b: Option<ObjectId>,
+    frontier: Frontier,
+    tree_a: (Option<ObjectId>, SpLabels),
+    tree_b: (Option<ObjectId>, SpLabels),
 }
 
 impl Splub {
@@ -104,11 +121,10 @@ impl Splub {
         Splub {
             graph: PartialGraph::new(n),
             max_distance,
-            dij_a: Dijkstra::new(n),
-            dij_b: Dijkstra::new(n),
-            tag_a: None,
-            tag_b: None,
+            trees: (0..n).map(|_| None).collect(),
+            frontier: Frontier::new(),
             last_retract_gen: 0,
+            by_weight: Vec::new(),
             memo: BTreeMap::new(),
             memo_gen: 0,
             ado: None,
@@ -122,35 +138,50 @@ impl Splub {
         &self.graph
     }
 
-    /// Settles the shortest-path tree for `src` into `dij`, preferring an
-    /// incremental decrease-only repair of the tree already held when only
-    /// insertions happened since it was settled.
+    /// Brings `src`'s cached tree up to the current graph state: settled on
+    /// first use, repaired over the edges recorded since its tag after pure
+    /// growth, rebuilt from scratch across a retraction.
     fn ensure_tree(
-        dij: &mut Dijkstra,
-        tag: &mut Option<TreeTag>,
+        trees: &mut [Option<(SpLabels, TreeTag)>],
+        frontier: &mut Frontier,
         graph: &PartialGraph,
         src: ObjectId,
         last_retract_gen: u64,
     ) {
-        let gen = graph.generation();
-        let m = graph.m();
-        match *tag {
-            Some(t) if t.src == src && t.gen == gen => {}
-            Some(t) if t.src == src && t.gen < gen && last_retract_gen <= t.gen => {
+        let now = TreeTag {
+            gen: graph.generation(),
+            m: graph.m(),
+        };
+        match &mut trees[src as usize] {
+            Some((_, tag)) if tag.gen == now.gen => {}
+            Some((labels, tag)) if last_retract_gen <= tag.gen => {
                 // Pure growth since the tree settled: every generation bump
                 // was an insertion, so the appended edge-list suffix is the
                 // exact delta.
-                debug_assert_eq!(gen - t.gen, (m - t.m) as u64);
-                let new = graph.edges()[t.m..]
+                debug_assert_eq!(now.gen - tag.gen, (now.m - tag.m) as u64);
+                let new = graph.edges()[tag.m..]
                     .iter()
                     .map(|&(p, w)| (p.lo(), p.hi(), w));
-                let _ = dij.repair(graph, new);
-                *tag = Some(TreeTag { src, gen, m });
+                labels.repair(frontier, graph, new);
+                *tag = now;
             }
-            _ => {
-                let _ = dij.run(graph, src);
-                *tag = Some(TreeTag { src, gen, m });
+            slot => {
+                let (labels, tag) = slot.get_or_insert_with(|| (SpLabels::new(graph.n()), now));
+                labels.run(frontier, graph, src);
+                *tag = now;
             }
+        }
+    }
+
+    /// Merges the edges recorded since the last call into `by_weight`. The
+    /// stable sort finds the sorted prefix as one run, so the merge costs
+    /// `O(m + k log k)` for `k` new edges.
+    fn sync_by_weight(&mut self) {
+        let edges = self.graph.edges();
+        if self.by_weight.len() < edges.len() {
+            self.by_weight
+                .extend_from_slice(&edges[self.by_weight.len()..]);
+            self.by_weight.sort_by(|x, y| y.1.total_cmp(&x.1));
         }
     }
 
@@ -177,23 +208,33 @@ impl Splub {
 /// TUB/TLB from two settled shortest-path trees (Equations 2 and 3).
 /// Shared verbatim by the live and snapshot paths so both produce
 /// bitwise-identical bounds from identical trees.
+///
+/// With `by_weight`, `edges` must be sorted by weight, descending, and the
+/// fold stops at the first `w ≤ lb`: every later edge has
+/// `via ≤ w' ≤ w ≤ lb` (subtracting a non-negative path sum never rounds
+/// up), so it cannot raise the max, and a max does not depend on the order
+/// its operands are read in — the early exit returns the full fold's bits.
 fn wrap_bounds(
-    graph: &PartialGraph,
+    edges: &[(Pair, f64)],
+    by_weight: bool,
     max_distance: f64,
     b: ObjectId,
-    sp_a: DistMap<'_>,
-    sp_b: DistMap<'_>,
+    sp_a: &[f64],
+    sp_b: &[f64],
 ) -> (f64, f64) {
     // TUB: shortest path a -> b (Equation 2), capped by the a-priori max.
-    let ub = max_distance.min(sp_a.get(b));
+    let ub = max_distance.min(sp_a[b as usize]);
 
     // TLB: wrap both shortest-path trees onto every known edge
     // (Equation 3). Unreachable endpoints contribute -inf and drop out.
     let mut lb = 0.0f64;
-    for &(e, w) in graph.edges() {
-        let (k, l) = (e.lo(), e.hi());
-        let via = w - (sp_a.get(k) + sp_b.get(l));
-        let via_sym = w - (sp_a.get(l) + sp_b.get(k));
+    for &(e, w) in edges {
+        if by_weight && w <= lb {
+            break;
+        }
+        let (k, l) = (e.lo() as usize, e.hi() as usize);
+        let via = w - (sp_a[k] + sp_b[l]);
+        let via_sym = w - (sp_a[l] + sp_b[k]);
         let best = via.max(via_sym);
         if best > lb {
             lb = best;
@@ -231,26 +272,29 @@ impl BoundScheme for Splub {
             return (lb, ub);
         }
         let (a, b) = p.ends();
-        Self::ensure_tree(
-            &mut self.dij_a,
-            &mut self.tag_a,
-            &self.graph,
-            a,
-            self.last_retract_gen,
-        );
-        Self::ensure_tree(
-            &mut self.dij_b,
-            &mut self.tag_b,
-            &self.graph,
-            b,
-            self.last_retract_gen,
-        );
+        for src in [a, b] {
+            Self::ensure_tree(
+                &mut self.trees,
+                &mut self.frontier,
+                &self.graph,
+                src,
+                self.last_retract_gen,
+            );
+        }
+        self.sync_by_weight();
+        let tree = |v: ObjectId| {
+            let (labels, _) = self.trees[v as usize]
+                .as_ref()
+                .expect_invariant("tree settled above");
+            labels.as_slice()
+        };
         let (lb, ub) = wrap_bounds(
-            &self.graph,
+            &self.by_weight,
+            true,
             self.max_distance,
             b,
-            self.dij_a.view(),
-            self.dij_b.view(),
+            tree(a),
+            tree(b),
         );
         self.memo.insert(p.key(), (lb, ub));
         (lb, ub)
@@ -261,12 +305,14 @@ impl BoundScheme for Splub {
     }
 
     fn retract(&mut self, p: Pair) -> bool {
-        // Removal bumps the graph generation, so the generation tags on both
-        // cached Dijkstra trees (and the memo) miss; marking the retraction
-        // generation also bars incremental repair across it, and the ADO
-        // sketch — sound only under pure growth — is dropped outright.
+        // Removal bumps the graph generation, so the tags on every cached
+        // tree (and the memo) miss; marking the retraction generation also
+        // bars incremental repair across it. The weight-sorted edge copy is
+        // emptied for a rebuild, and the ADO sketch — sound only under pure
+        // growth — is dropped outright.
         if self.graph.remove(p).is_some() {
             self.last_retract_gen = self.graph.generation();
+            self.by_weight.clear();
             self.ado = None;
             true
         } else {
@@ -385,11 +431,11 @@ impl SpecBounds for Splub {
     }
 
     fn new_scratch(&self) -> SpecScratch {
+        let n = self.graph.n();
         SpecScratch::with(SplubScratch {
-            dij_a: Dijkstra::new(self.graph.n()),
-            dij_b: Dijkstra::new(self.graph.n()),
-            src_a: None,
-            src_b: None,
+            frontier: Frontier::new(),
+            tree_a: (None, SpLabels::new(n)),
+            tree_b: (None, SpLabels::new(n)),
         })
     }
 
@@ -404,20 +450,21 @@ impl SpecBounds for Splub {
             .get_mut::<SplubScratch>()
             .expect_invariant("scratch installed above");
         let (a, b) = p.ends();
-        if s.src_a != Some(a) {
-            s.dij_a.run(&self.graph, a);
-            s.src_a = Some(a);
+        for (src, (held, labels)) in [(a, &mut s.tree_a), (b, &mut s.tree_b)] {
+            if *held != Some(src) {
+                labels.run(&mut s.frontier, &self.graph, src);
+                *held = Some(src);
+            }
         }
-        if s.src_b != Some(b) {
-            s.dij_b.run(&self.graph, b);
-            s.src_b = Some(b);
-        }
+        // `&self` cannot sync the sorted copy, so the snapshot path folds
+        // the insertion-ordered list in full.
         wrap_bounds(
-            &self.graph,
+            self.graph.edges(),
+            false,
             self.max_distance,
             b,
-            s.dij_a.view(),
-            s.dij_b.view(),
+            s.tree_a.1.as_slice(),
+            s.tree_b.1.as_slice(),
         )
     }
 
@@ -551,11 +598,34 @@ mod tests {
         out
     }
 
+    /// A fresh instance over the same edge list.
+    fn rebuilt(s: &Splub) -> Splub {
+        let mut fresh = Splub::new(s.n(), s.max_distance());
+        for &(e, w) in s.graph().edges() {
+            fresh.record(e, w);
+        }
+        fresh
+    }
+
+    fn assert_bits(got: (f64, f64), want: (f64, f64), ctx: &str) {
+        assert_eq!(
+            got.0.to_bits(),
+            want.0.to_bits(),
+            "lb {ctx}: {got:?} vs {want:?}"
+        );
+        assert_eq!(
+            got.1.to_bits(),
+            want.1.to_bits(),
+            "ub {ctx}: {got:?} vs {want:?}"
+        );
+    }
+
     #[test]
     fn incremental_trees_match_fresh_scheme_bitwise() {
-        // Interleave records and queries; an instance that repairs its
-        // trees incrementally must stay bitwise identical to a fresh
-        // instance rebuilt from scratch at every step.
+        // Interleave records, retractions and queries; an instance that
+        // caches and repairs a tree per source must stay bitwise identical
+        // to a fresh instance rebuilt from scratch at every step, for a
+        // pair at every source.
         for seed in 0..6u64 {
             let n = 24;
             let sched = schedule(n, 60, 0x1AC + seed);
@@ -563,21 +633,127 @@ mod tests {
             let mut rng = TinyRng::new(seed ^ 0xF00);
             for (i, &(e, w)) in sched.iter().enumerate() {
                 inc.record(e, w);
-                for _ in 0..3 {
-                    let a = rng.below(n) as u32;
-                    let b = rng.below(n) as u32;
-                    if a == b {
+                if i % 7 == 6 {
+                    let (victim, _) = inc.graph().edges()[rng.below(inc.m())];
+                    assert!(inc.retract(victim));
+                }
+                let mut fresh = rebuilt(&inc);
+                for a in 0..n as u32 {
+                    let b = (a + 1 + rng.below(n - 1) as u32) % n as u32;
+                    let q = Pair::new(a, b);
+                    let ctx = format!("seed {seed} step {i} {q:?}");
+                    assert_bits(inc.bounds(q), fresh.bounds(q), &ctx);
+                }
+            }
+        }
+    }
+
+    /// The Eq. 3 fold as the paper states it: every known edge in insertion
+    /// order, no early exit, over trees run from scratch. The reference the
+    /// live scheme's weight-sorted, early-exit fold must match bit for bit.
+    fn full_fold(g: &PartialGraph, max_distance: f64, q: Pair) -> (f64, f64) {
+        let (a, b) = q.ends();
+        let mut dij_a = Dijkstra::new(g.n());
+        let mut dij_b = Dijkstra::new(g.n());
+        let (sp_a, sp_b) = (dij_a.run(g, a), dij_b.run(g, b));
+        let ub = max_distance.min(sp_a.get(b));
+        let mut lb = 0.0f64;
+        for &(e, w) in g.edges() {
+            let (k, l) = (e.lo(), e.hi());
+            let via = w - (sp_a.get(k) + sp_b.get(l));
+            let via_sym = w - (sp_a.get(l) + sp_b.get(k));
+            let best = via.max(via_sym);
+            if best > lb {
+                lb = best;
+            }
+        }
+        if lb > ub {
+            lb = ub;
+        }
+        (lb, ub)
+    }
+
+    /// A record schedule built to stress the early exit: many equal
+    /// weights (eighths), zero weights, and — when `parts > 1` — edges only
+    /// inside `parts` disconnected components.
+    fn tie_schedule(n: usize, m: usize, parts: usize, seed: u64) -> Vec<(Pair, f64)> {
+        let mut rng = TinyRng::new(seed);
+        let mut seen = std::collections::BTreeSet::new();
+        let mut out = Vec::new();
+        while out.len() < m {
+            let a = rng.below(n);
+            let b = rng.below(n);
+            if a == b || a % parts != b % parts || !seen.insert(Pair::new(a as u32, b as u32)) {
+                continue;
+            }
+            let w = match rng.below(4) {
+                0 => 0.0,
+                1 => 0.5,
+                _ => (rng.unit_f64() * 8.0).floor() / 8.0,
+            };
+            out.push((Pair::new(a as u32, b as u32), w));
+        }
+        out
+    }
+
+    #[test]
+    fn early_exit_fold_matches_full_fold_bitwise() {
+        for seed in 0..8u64 {
+            let n = 18;
+            let parts = [1, 2, 3][seed as usize % 3];
+            let sched = tie_schedule(n, 40, parts, 0xE4 + seed);
+            let mut s = Splub::new(n, 1.0);
+            let mut rng = TinyRng::new(seed);
+            for (i, &(e, w)) in sched.iter().enumerate() {
+                s.record(e, w);
+                if i % 9 == 8 {
+                    let (victim, _) = s.graph().edges()[rng.below(s.m())];
+                    assert!(s.retract(victim));
+                }
+                // Queries after every record exercise the sorted copy's
+                // lazy merge; the final state checks every pair.
+                let pairs: Vec<Pair> = if i + 1 == sched.len() {
+                    Pair::all(n).collect()
+                } else {
+                    (0..4)
+                        .map(|_| (rng.below(n) as u32, rng.below(n) as u32))
+                        .filter(|(a, b)| a != b)
+                        .map(|(a, b)| Pair::new(a, b))
+                        .collect()
+                };
+                for q in pairs {
+                    if s.known(q).is_some() {
                         continue;
                     }
-                    let q = Pair::new(a, b);
-                    let (li, ui) = inc.bounds(q);
-                    let mut fresh = Splub::new(n, 1.0);
-                    for &(e2, w2) in &sched[..=i] {
-                        fresh.record(e2, w2);
-                    }
-                    let (lf, uf) = fresh.bounds(q);
-                    assert_eq!(li.to_bits(), lf.to_bits(), "seed {seed} step {i} {q:?}");
-                    assert_eq!(ui.to_bits(), uf.to_bits(), "seed {seed} step {i} {q:?}");
+                    let want = full_fold(s.graph(), 1.0, q);
+                    assert_bits(s.bounds(q), want, &format!("seed {seed} step {i} {q:?}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn live_bounds_match_spec_bounds() {
+        // The snapshot path runs its own trees and folds every edge in
+        // insertion order; it must equal the live exact tier (cached
+        // trees, early-exit fold) on the same graph state, retraction
+        // included.
+        for seed in 0..4u64 {
+            let n = 20;
+            let sched = tie_schedule(n, 50, 1 + seed as usize % 2, 0x5BEC + seed);
+            let mut s = Splub::new(n, 1.0);
+            for (i, &(e, w)) in sched.iter().enumerate() {
+                s.record(e, w);
+                if i == 30 {
+                    assert!(s.retract(sched[3].0));
+                }
+                if i % 10 != 9 && i != 30 {
+                    continue;
+                }
+                let mut scratch = s.new_scratch();
+                for q in Pair::all(n) {
+                    let want = s.spec_bounds(q, &mut scratch);
+                    assert_bits(s.bounds(q), want, &format!("seed {seed} step {i} {q:?}"));
                 }
             }
         }

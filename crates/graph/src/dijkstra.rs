@@ -1,10 +1,14 @@
 //! Single-source shortest paths with reusable, epoch-stamped scratch space.
 //!
-//! Three kernels share one scratch structure:
+//! [`Dijkstra`] owns epoch-stamped labels and a heap, for one-off searches.
+//! A cache of one tree per source instead keeps dense [`SpLabels`] per
+//! source and one shared [`Frontier`] (the heap, empty between calls). Both
+//! run the same relaxation kernel:
 //!
-//! * [`Dijkstra::run`] — classic full SSSP, now `O(touched)` per call
-//!   instead of paying an `O(n)` dist reset (epoch stamps);
-//! * [`Dijkstra::repair`] — decrease-only incremental maintenance
+//! * [`Dijkstra::run`] — classic full SSSP, `O(touched)` per call instead
+//!   of paying an `O(n)` dist reset (epoch stamps); [`SpLabels::run`] is
+//!   the same sweep into a cached tree;
+//! * [`SpLabels::repair`] — decrease-only incremental maintenance
 //!   (Ramalingam–Reps style) of the tree left by the previous `run` after
 //!   new edges were inserted;
 //! * [`Dijkstra::run_bidirectional_bounded`] — a threshold-aware
@@ -90,29 +94,43 @@ impl DistMap<'_> {
     }
 }
 
-/// Dijkstra's algorithm with owned, reusable scratch buffers.
-///
-/// SPLUB runs SSSP computations per bound query (`O(m + n log n)` each);
-/// reusing the distance array and heap across queries keeps them
-/// allocation-free after warm-up, and the epoch stamp makes the per-run
-/// reset `O(1)` instead of `O(n)` (`dijkstra_reset/*` bench cells).
-pub struct Dijkstra {
+/// Label storage a kernel reads and writes: [`Dijkstra`]'s epoch-stamped
+/// scratch or a cached tree's dense [`SpLabels`].
+trait Labels {
+    fn get(&self, v: ObjectId) -> f64;
+    fn set(&mut self, v: ObjectId, d: f64);
+}
+
+/// Epoch-stamped labels: starting a new run bumps the epoch instead of an
+/// `O(n)` reset (`dijkstra_reset/*` bench cells), which is what makes
+/// early-exited searches (`run_to`, the bidirectional search) cheap.
+struct Stamped {
     dist: Vec<f64>,
     stamp: Vec<u32>,
     epoch: u32,
-    heap: BinaryHeap<Entry>,
 }
 
-impl Dijkstra {
-    /// Scratch sized for graphs of up to `n` nodes.
-    pub fn new(n: usize) -> Self {
-        Dijkstra {
+impl Labels for Stamped {
+    #[inline]
+    fn get(&self, v: ObjectId) -> f64 {
+        self.view().get(v)
+    }
+
+    #[inline]
+    fn set(&mut self, v: ObjectId, d: f64) {
+        self.dist[v as usize] = d;
+        self.stamp[v as usize] = self.epoch;
+    }
+}
+
+impl Stamped {
+    fn new(n: usize) -> Self {
+        Stamped {
             dist: vec![f64::INFINITY; n],
             // Epoch 0 is never current (the first `begin_epoch` moves to
             // 1), so an all-zero stamp array means "nothing visited".
             stamp: vec![0; n],
             epoch: 0,
-            heap: BinaryHeap::with_capacity(64),
         }
     }
 
@@ -125,73 +143,68 @@ impl Dijkstra {
             self.stamp.fill(0);
             self.epoch = 1;
         }
-        self.heap.clear();
     }
 
-    /// The labels written by the most recent run (all-`INFINITY` before
-    /// any run). Lets callers that cache trees by source re-read results
-    /// without re-running.
     #[inline]
-    pub fn view(&self) -> DistMap<'_> {
+    fn view(&self) -> DistMap<'_> {
         DistMap {
             dist: &self.dist,
             stamp: &self.stamp,
             epoch: self.epoch,
         }
     }
+}
+
+/// One source's shortest-path labels as a dense array (`8·n` bytes,
+/// `INFINITY` for unreached nodes), for callers that cache a tree per
+/// source. All such trees can share one [`Frontier`]: the heap is empty
+/// between calls, so a cached tree costs its labels and nothing more.
+pub struct SpLabels {
+    dist: Vec<f64>,
+}
+
+impl Labels for SpLabels {
+    #[inline]
+    fn get(&self, v: ObjectId) -> f64 {
+        self.dist[v as usize]
+    }
 
     #[inline]
-    fn label(dist: &[f64], stamp: &[u32], epoch: u32, v: ObjectId) -> f64 {
-        if stamp[v as usize] == epoch {
-            dist[v as usize]
-        } else {
-            f64::INFINITY
+    fn set(&mut self, v: ObjectId, d: f64) {
+        self.dist[v as usize] = d;
+    }
+}
+
+impl SpLabels {
+    /// Labels for graphs of up to `n` nodes, all `INFINITY`.
+    pub fn new(n: usize) -> Self {
+        SpLabels {
+            dist: vec![f64::INFINITY; n],
         }
     }
 
-    /// Runs SSSP from `src` over `graph` and returns the label view;
-    /// unreachable nodes read `f64::INFINITY`.
-    pub fn run<G: Adjacency + ?Sized>(&mut self, graph: &G, src: ObjectId) -> DistMap<'_> {
-        let n = graph.n();
-        assert!(
-            n <= self.dist.len(),
-            "graph larger than Dijkstra scratch ({} > {})",
-            n,
-            self.dist.len()
-        );
-        self.begin_epoch();
-        let Dijkstra {
-            dist,
-            stamp,
-            epoch,
-            heap,
-        } = self;
-        let epoch = *epoch;
-
-        dist[src as usize] = 0.0;
-        stamp[src as usize] = epoch;
-        heap.push(Entry {
-            dist: 0.0,
-            node: src,
-        });
-        while let Some(Entry { dist: d, node: v }) = heap.pop() {
-            if d > dist[v as usize] {
-                continue; // stale entry (every heap entry's node is stamped)
-            }
-            graph.for_each_neighbor(v, &mut |u, w| {
-                let nd = d + w;
-                if nd < Self::label(dist, stamp, epoch, u) {
-                    dist[u as usize] = nd;
-                    stamp[u as usize] = epoch;
-                    heap.push(Entry { dist: nd, node: u });
-                }
-            });
-        }
-        self.view()
+    /// The labels, indexed by node id.
+    #[inline]
+    pub fn as_slice(&self) -> &[f64] {
+        &self.dist
     }
 
-    /// Decrease-only repair of the tree left by the previous [`run`] after
-    /// `new_edges` were *inserted* into `graph` (which must already
+    /// Runs SSSP from `src` over `graph`, replacing every label; unreachable
+    /// nodes read `f64::INFINITY`.
+    pub fn run<G: Adjacency + ?Sized>(
+        &mut self,
+        frontier: &mut Frontier,
+        graph: &G,
+        src: ObjectId,
+    ) {
+        assert_fits(graph.n(), self.dist.len());
+        self.dist.fill(f64::INFINITY);
+        start(self, &mut frontier.heap, src);
+        drain(self, &mut frontier.heap, graph);
+    }
+
+    /// Decrease-only repair of the labels left by the previous [`run`]
+    /// after `new_edges` were *inserted* into `graph` (which must already
     /// contain them). Yields labels bitwise-identical to a fresh `run`
     /// over the grown graph: a Dijkstra label is the minimum over paths of
     /// the left-folded float sum, which is order-independent, and the
@@ -200,53 +213,129 @@ impl Dijkstra {
     /// Only valid for pure growth — edge removals require a fresh `run`
     /// (the caller tracks retractions and falls back).
     ///
-    /// [`run`]: Dijkstra::run
-    pub fn repair<G, I>(&mut self, graph: &G, new_edges: I) -> DistMap<'_>
+    /// [`run`]: SpLabels::run
+    pub fn repair<G, I>(&mut self, frontier: &mut Frontier, graph: &G, new_edges: I)
     where
         G: Adjacency + ?Sized,
         I: IntoIterator<Item = (ObjectId, ObjectId, f64)>,
     {
-        let Dijkstra {
-            dist,
-            stamp,
-            epoch,
-            heap,
-        } = self;
-        let epoch = *epoch;
+        assert_fits(graph.n(), self.dist.len());
+        let heap = &mut frontier.heap;
         heap.clear();
-
         // Seed: each new edge may shortcut either endpoint from the other.
         for (a, b, w) in new_edges {
-            let (da, db) = (
-                Self::label(dist, stamp, epoch, a),
-                Self::label(dist, stamp, epoch, b),
-            );
+            let (da, db) = (self.get(a), self.get(b));
             if da + w < db {
                 let nd = da + w;
-                dist[b as usize] = nd;
-                stamp[b as usize] = epoch;
+                self.set(b, nd);
                 heap.push(Entry { dist: nd, node: b });
             } else if db + w < da {
                 let nd = db + w;
-                dist[a as usize] = nd;
-                stamp[a as usize] = epoch;
+                self.set(a, nd);
                 heap.push(Entry { dist: nd, node: a });
             }
         }
         // Drain: propagate the decreases over the full (grown) adjacency.
-        while let Some(Entry { dist: d, node: v }) = heap.pop() {
-            if d > dist[v as usize] {
-                continue;
-            }
-            graph.for_each_neighbor(v, &mut |u, w| {
-                let nd = d + w;
-                if nd < Self::label(dist, stamp, epoch, u) {
-                    dist[u as usize] = nd;
-                    stamp[u as usize] = epoch;
-                    heap.push(Entry { dist: nd, node: u });
-                }
-            });
+        drain(self, heap, graph);
+    }
+}
+
+/// The priority queue the Dijkstra kernels drain. It is empty between
+/// calls, so one `Frontier` can serve any number of [`SpLabels`].
+pub struct Frontier {
+    heap: BinaryHeap<Entry>,
+}
+
+impl Default for Frontier {
+    fn default() -> Self {
+        Frontier::new()
+    }
+}
+
+impl Frontier {
+    /// An empty queue with room for a typical frontier.
+    pub fn new() -> Self {
+        Frontier {
+            heap: BinaryHeap::with_capacity(64),
         }
+    }
+}
+
+fn assert_fits(n: usize, len: usize) {
+    assert!(n <= len, "graph larger than Dijkstra scratch ({n} > {len})");
+}
+
+/// Clears `heap` and queues `src` at distance 0. The caller has already
+/// reset `labels` (a new epoch, or a fill).
+fn start<L: Labels>(labels: &mut L, heap: &mut BinaryHeap<Entry>, src: ObjectId) {
+    heap.clear();
+    labels.set(src, 0.0);
+    heap.push(Entry {
+        dist: 0.0,
+        node: src,
+    });
+}
+
+/// Pops `heap` to exhaustion, relaxing every settled node's neighbours.
+/// Every heap entry's node has a label, so `get` is valid for the
+/// stale-entry check.
+fn drain<L: Labels, G: Adjacency + ?Sized>(
+    labels: &mut L,
+    heap: &mut BinaryHeap<Entry>,
+    graph: &G,
+) {
+    while let Some(Entry { dist: d, node: v }) = heap.pop() {
+        if d > labels.get(v) {
+            continue; // stale entry
+        }
+        graph.for_each_neighbor(v, &mut |u, w| {
+            let nd = d + w;
+            if nd < labels.get(u) {
+                labels.set(u, nd);
+                heap.push(Entry { dist: nd, node: u });
+            }
+        });
+    }
+}
+
+/// Dijkstra's algorithm with owned, reusable scratch buffers.
+///
+/// Reusing the distance array and heap across runs keeps them
+/// allocation-free after warm-up, and the epoch stamp makes the per-run
+/// reset `O(1)` instead of `O(n)` (`dijkstra_reset/*` bench cells).
+pub struct Dijkstra {
+    labels: Stamped,
+    heap: BinaryHeap<Entry>,
+}
+
+impl Dijkstra {
+    /// Scratch sized for graphs of up to `n` nodes.
+    pub fn new(n: usize) -> Self {
+        Dijkstra {
+            labels: Stamped::new(n),
+            heap: BinaryHeap::with_capacity(64),
+        }
+    }
+
+    /// Opens a new epoch with only `src` labelled (at 0) and queued.
+    fn begin<G: Adjacency + ?Sized>(&mut self, graph: &G, src: ObjectId) {
+        assert_fits(graph.n(), self.labels.dist.len());
+        self.labels.begin_epoch();
+        start(&mut self.labels, &mut self.heap, src);
+    }
+
+    /// The labels written by the most recent run (all-`INFINITY` before
+    /// any run).
+    #[inline]
+    pub fn view(&self) -> DistMap<'_> {
+        self.labels.view()
+    }
+
+    /// Runs SSSP from `src` over `graph` and returns the label view;
+    /// unreachable nodes read `f64::INFINITY`.
+    pub fn run<G: Adjacency + ?Sized>(&mut self, graph: &G, src: ObjectId) -> DistMap<'_> {
+        self.begin(graph, src);
+        drain(&mut self.labels, &mut self.heap, graph);
         self.view()
     }
 
@@ -259,35 +348,19 @@ impl Dijkstra {
         src: ObjectId,
         target: ObjectId,
     ) -> f64 {
-        let n = graph.n();
-        assert!(n <= self.dist.len());
-        self.begin_epoch();
-        let Dijkstra {
-            dist,
-            stamp,
-            epoch,
-            heap,
-        } = self;
-        let epoch = *epoch;
-
-        dist[src as usize] = 0.0;
-        stamp[src as usize] = epoch;
-        heap.push(Entry {
-            dist: 0.0,
-            node: src,
-        });
+        self.begin(graph, src);
+        let Dijkstra { labels, heap } = self;
         while let Some(Entry { dist: d, node: v }) = heap.pop() {
             if v == target {
                 return d;
             }
-            if d > dist[v as usize] {
+            if d > labels.get(v) {
                 continue;
             }
             graph.for_each_neighbor(v, &mut |u, w| {
                 let nd = d + w;
-                if nd < Self::label(dist, stamp, epoch, u) {
-                    dist[u as usize] = nd;
-                    stamp[u as usize] = epoch;
+                if nd < labels.get(u) {
+                    labels.set(u, nd);
                     heap.push(Entry { dist: nd, node: u });
                 }
             });
@@ -317,16 +390,8 @@ impl Dijkstra {
         b: ObjectId,
         cutoff: f64,
     ) -> Option<f64> {
-        let n = graph.n();
-        assert!(n <= fwd.dist.len() && n <= bwd.dist.len());
-        fwd.begin_epoch();
-        bwd.begin_epoch();
-        fwd.dist[a as usize] = 0.0;
-        fwd.stamp[a as usize] = fwd.epoch;
-        fwd.heap.push(Entry { dist: 0.0, node: a });
-        bwd.dist[b as usize] = 0.0;
-        bwd.stamp[b as usize] = bwd.epoch;
-        bwd.heap.push(Entry { dist: 0.0, node: b });
+        fwd.begin(graph, a);
+        bwd.begin(graph, b);
 
         let mut mu = f64::INFINITY;
         // One frontier exhausting means no better meeting exists.
@@ -343,25 +408,18 @@ impl Dijkstra {
             } else {
                 (&mut *bwd, &mut *fwd)
             };
-            let Some(Entry { dist: d, node: v }) = this.heap.pop() else {
+            let Dijkstra { labels, heap } = this;
+            let Some(Entry { dist: d, node: v }) = heap.pop() else {
                 break;
             };
-            if d > this.dist[v as usize] {
+            if d > labels.get(v) {
                 continue; // stale
             }
-            let Dijkstra {
-                dist,
-                stamp,
-                epoch,
-                heap,
-            } = this;
-            let epoch = *epoch;
             let other_view = other.view();
             graph.for_each_neighbor(v, &mut |u, w| {
                 let nd = d + w;
-                if nd < Self::label(dist, stamp, epoch, u) {
-                    dist[u as usize] = nd;
-                    stamp[u as usize] = epoch;
+                if nd < labels.get(u) {
+                    labels.set(u, nd);
                     heap.push(Entry { dist: nd, node: u });
                     let od = other_view.get(u);
                     if od.is_finite() && nd + od < mu {
@@ -462,10 +520,10 @@ mod tests {
         let g = path_graph(4);
         let mut dj = Dijkstra::new(4);
         let before = labels(dj.run(&g, 0), 4);
-        dj.epoch = u32::MAX; // force the next begin_epoch to wrap
+        dj.labels.epoch = u32::MAX; // force the next begin_epoch to wrap
         let after = labels(dj.run(&g, 0), 4);
         assert_eq!(before, after);
-        assert_eq!(dj.epoch, 1, "wraparound must land on epoch 1, not 0");
+        assert_eq!(dj.labels.epoch, 1, "wraparound must land on epoch 1, not 0");
         // And the epoch after the wrap still behaves.
         let again = labels(dj.run(&g, 0), 4);
         assert_eq!(before, again);
@@ -527,15 +585,15 @@ mod tests {
                     for &(p, w) in &edges[..split] {
                         g.insert(p, w);
                     }
-                    let mut inc = Dijkstra::new(n);
-                    let _ = inc.run(&g, src);
+                    let mut frontier = Frontier::new();
+                    let mut inc = SpLabels::new(n);
+                    inc.run(&mut frontier, &g, src);
                     for &(p, w) in &edges[split..] {
                         g.insert(p, w);
                     }
-                    let repaired = labels(
-                        inc.repair(&g, edges[split..].iter().map(|&(p, w)| (p.lo(), p.hi(), w))),
-                        n,
-                    );
+                    let new = edges[split..].iter().map(|&(p, w)| (p.lo(), p.hi(), w));
+                    inc.repair(&mut frontier, &g, new);
+                    let repaired = inc.as_slice().to_vec();
                     let mut fresh = Dijkstra::new(n);
                     let full = labels(fresh.run(&g, src), n);
                     // Bitwise, not approximate: both are the min over paths
@@ -630,9 +688,12 @@ mod tests {
     #[test]
     fn repair_with_no_new_edges_is_identity() {
         let g = path_graph(6);
-        let mut dj = Dijkstra::new(6);
-        let before = labels(dj.run(&g, 2), 6);
-        let after = labels(dj.repair(&g, std::iter::empty()), 6);
-        assert_eq!(before, after);
+        let mut frontier = Frontier::new();
+        let mut tree = SpLabels::new(6);
+        tree.run(&mut frontier, &g, 2);
+        let before = tree.as_slice().to_vec();
+        tree.repair(&mut frontier, &g, std::iter::empty());
+        assert_eq!(before, tree.as_slice());
+        assert_eq!(before, labels(Dijkstra::new(6).run(&g, 2), 6));
     }
 }

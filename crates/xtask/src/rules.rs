@@ -37,7 +37,7 @@
 //! | L10 | library crates | `HashMap`/`HashSet` (unpinned iteration order; use `BTreeMap`/`BTreeSet` so determinism invariants I5/I8/I9 hold by construction) |
 //! | L11 | everywhere except `crates/bench` | `Instant::now`/`SystemTime` (library code runs on virtual time; wall-clock belongs to the bench harness) |
 //! | L12 | library crates (graph) | an infallible `X` that re-implements its fallible twin `try_X` instead of delegating to it (the copies drift apart) |
-//! | L13 | `crates/bounds` (graph) | reaching the unbounded `Dijkstra::run` from bound-query paths — the query cascade must use the bounded/bidirectional twins; the exact tier funnels through the audited [`L13_ALLOWLIST`] — see [`l13_violations`] |
+//! | L13 | `crates/bounds` (graph) | reaching the unbounded `Dijkstra::run` / `SpLabels::run` from bound-query paths — the query cascade must use the bounded/bidirectional twins; the exact tier funnels through the audited [`L13_ALLOWLIST`] — see [`l13_violations`] |
 //! | L14 | `crates/algos` (graph) | reaching `WeakOracle::probe`/`error_at` through any call chain that does not pass a `CascadeResolver` method — weak answers are untrusted until the cascade's quorum + sandwich audit, so algorithms must never consume them raw — see [`l14_violations`] |
 //! | L15 | library crates | a metrics or span name literal (`inc`/`observe`/`counter`/`histogram*`, `SpanGuard::enter`/`PhaseGuard::enter`/`span`) missing from the central `prox_obs::names` registry — a typo'd counter silently splits one series into two — see [`lint_name_registry`] |
 //! | L16 | whole workspace (graph) | reaching the shared bound store's mutators (`StoreInner` methods, `WriteAheadLog::append`) through any call chain that does not pass the WAL-logged `SharedStore::commit` — a side-door write breaks the crash-recovery byte-identity of I12; recovery/fencing funnels live in the audited [`L16_ALLOWLIST`] — see [`l16_violations`] |
@@ -913,7 +913,9 @@ fn l12_violations(g: &ItemGraph) -> Vec<Violation> {
 }
 
 /// L13 — `crates/bounds` query paths must not reach the **unbounded**
-/// `Dijkstra::run`. A reverse BFS from that sink (mirroring
+/// `Dijkstra::run`, nor its cached-tree twin `SpLabels::run` (the same
+/// full sweep into a caller-owned tree). A reverse BFS from those sinks
+/// (mirroring
 /// [`oracle_exposure`]) flags every non-test `crates/bounds` item that can
 /// reach it through a chain with no allowlisted intermediary. The bounded
 /// twins (`run_to`, `run_bidirectional_bounded`) are not sinks: the cascade
@@ -927,7 +929,9 @@ pub fn l13_violations(g: &ItemGraph, allowlist: &[&str]) -> Vec<Violation> {
         .items
         .iter()
         .map(|it| {
-            it.krate == "graph" && it.container.as_deref() == Some("Dijkstra") && it.name == "run"
+            it.krate == "graph"
+                && matches!(it.container.as_deref(), Some("Dijkstra" | "SpLabels"))
+                && it.name == "run"
         })
         .collect();
     let allowed: Vec<bool> = paths
@@ -977,7 +981,8 @@ pub fn l13_violations(g: &ItemGraph, allowlist: &[&str]) -> Vec<Violation> {
             file: it.file.clone(),
             line: it.line,
             msg: format!(
-                "`{}` reaches the unbounded `Dijkstra::run` from a \
+                "`{}` reaches an unbounded full sweep (`Dijkstra::run` / \
+                 `SpLabels::run`) from a \
                  `crates/bounds` query path: {}; use the bounded twins \
                  (`run_to`, `run_bidirectional_bounded`) or add an audited \
                  `L13_ALLOWLIST` entry",
@@ -1792,6 +1797,30 @@ mod tests {
         assert!(l13.iter().any(|v| v.msg.contains(
             "bounds::splub::bounds -> bounds::splub::full -> graph::dijkstra::Dijkstra::run"
         )));
+    }
+
+    #[test]
+    fn l13_flags_cached_tree_sweep_even_when_qualified() {
+        // `SpLabels::run` is the same full sweep into a caller-owned tree;
+        // a qualified call cannot slip past the rule.
+        let files = fixture(&[
+            (
+                "crates/graph/src/dijkstra.rs",
+                "pub struct SpLabels;\nimpl SpLabels {\n    pub fn run(&mut self) {}\n}\n",
+            ),
+            (
+                "crates/bounds/src/splub.rs",
+                "pub fn bounds(t: &mut SpLabels) { SpLabels::run(t); }\n",
+            ),
+        ]);
+        let g = ItemGraph::build(&files);
+        let vs = lint_graph(&g, &[], &[], &[]);
+        assert!(
+            vs.iter().any(|v| v.rule == "L13"
+                && v.msg
+                    .contains("bounds::splub::bounds -> graph::dijkstra::SpLabels::run")),
+            "{vs:?}"
+        );
     }
 
     #[test]
