@@ -15,13 +15,12 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
+use prox_bounds::resolver::{decide_value, Cmp};
 use prox_bounds::DistanceResolver;
 use prox_core::invariant::{expect_ok, InvariantExt};
 use prox_core::{ObjectId, OracleError, Pair, SpecBounds};
 use prox_exec::ExecPool;
 use prox_obs::{emit_to, SpanGuard, TraceEvent};
-
-use crate::speculate::leq_verdict;
 
 /// The kNN graph: for each object, its `k` nearest neighbours sorted by
 /// `(distance, id)` ascending.
@@ -141,7 +140,7 @@ fn sweep<R: DistanceResolver + ?Sized>(
                 if kn {
                     None // snapshot-known pairs carry known=true in cands
                 } else {
-                    leq_verdict(lb, ub, w.d)
+                    decide_value(lb, ub, w.d, Cmp::Leq).0
                 }
             });
             match verdict {

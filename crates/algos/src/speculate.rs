@@ -19,34 +19,22 @@
 //!   snapshot generation and the evaluation never needed an unknown
 //!   distance (it is *poisoned* otherwise).
 
-use prox_bounds::{DistanceResolver, DECISION_EPS};
-use prox_core::{Pair, PruneStats, SpecBounds, SpecScratch};
+use prox_bounds::resolver::{decide_pair, decide_value, probe_verdict, Cmp};
+use prox_bounds::DistanceResolver;
+use prox_core::{OracleError, Pair, PruneStats, SpecBounds, SpecScratch};
 use prox_obs::{quantize_width, Metrics, ProbeKind, ProbeVerdict, TraceEvent};
 
-/// The decision function of `BoundResolver::try_leq_value`, applied to
-/// snapshot bounds. Returning `Some(_)` from stale bounds is sound by
-/// monotone tightening; the known fast path (`lb == ub`, an exact value,
-/// compared without the margin) is consistent because collapsed snapshot
-/// bounds pin the live value exactly.
-pub(crate) fn leq_verdict(lb: f64, ub: f64, v: f64) -> Option<bool> {
-    if lb == ub {
-        return Some(lb <= v);
-    }
-    if ub <= v - DECISION_EPS {
-        Some(true)
-    } else if lb > v + DECISION_EPS {
-        Some(false)
-    } else {
-        None
-    }
-}
-
-/// A [`DistanceResolver`] over a frozen snapshot: every `try_*` mirrors
-/// `BoundResolver`'s decision functions bit-for-bit, `resolve` serves only
-/// already-known values, and anything that would need the oracle *poisons*
-/// the probe (the committer then discards the evaluation and re-runs it
-/// live). Each probe owns its scratch, so many can run in parallel against
-/// one shared snapshot.
+/// A [`DistanceResolver`] over a frozen snapshot. Every `try_*` verdict
+/// comes from the shared verdict kernel (`prox_bounds::resolver::decide_*`)
+/// applied to snapshot bounds — the same kernel `BoundResolver` applies to
+/// live bounds, so the two cannot drift. A `Some(_)` from stale bounds is
+/// sound by monotone tightening, and the kernel's known fast path
+/// (`lb == ub`, compared without the margin) is consistent because
+/// collapsed snapshot bounds pin the live value exactly.
+/// `resolve_fallible` serves only already-known values; anything that would
+/// need the oracle *poisons* the probe (the committer then discards the
+/// evaluation and re-runs it live). Each probe owns its scratch, so many
+/// can run in parallel against one shared snapshot.
 pub(crate) struct SpecProbe<'a> {
     spec: &'a dyn SpecBounds,
     scratch: SpecScratch,
@@ -137,6 +125,16 @@ impl<'a> SpecProbe<'a> {
     fn observing(&self) -> bool {
         self.traced || self.metered
     }
+
+    /// The threshold probes, as `BoundResolver::try_value` decides them.
+    fn try_value(&mut self, x: Pair, v: f64, cmp: Cmp) -> Option<bool> {
+        let (lb, ub) = self.bounds(x);
+        let (out, verdict) = decide_value(lb, ub, v, cmp);
+        if self.observing() {
+            self.note_probe(x, lb, ub, cmp.kind(), verdict);
+        }
+        out
+    }
 }
 
 /// The atomically-committable outcome of one speculative evaluation.
@@ -178,83 +176,34 @@ impl DistanceResolver for SpecProbe<'_> {
         self.spec.spec_known(p)
     }
 
-    fn resolve(&mut self, p: Pair) -> f64 {
+    fn resolve_fallible(&mut self, p: Pair) -> Result<f64, OracleError> {
         if let Some(d) = self.spec.spec_known(p) {
             self.stats.served_known += 1;
-            return d;
+            return Ok(d);
         }
         // The value would need an oracle call; speculation cannot know it.
         // Poison and return a placeholder — arithmetic downstream of a
         // poisoned probe is discarded wholesale by the committer.
         self.poisoned = true;
-        0.0
+        Ok(0.0)
     }
 
     fn try_less(&mut self, x: Pair, y: Pair) -> Option<bool> {
         let (lx, ux) = self.bounds(x);
         let (ly, uy) = self.bounds(y);
-        let out = if ux < ly - DECISION_EPS {
-            Some(true)
-        } else if lx >= uy + DECISION_EPS {
-            Some(false)
-        } else {
-            None
-        };
+        let out = decide_pair(lx, ux, ly, uy);
         if self.observing() {
-            let verdict = match out {
-                Some(true) => ProbeVerdict::DecidedUb,
-                Some(false) => ProbeVerdict::DecidedLb,
-                None => ProbeVerdict::Inconclusive,
-            };
-            self.note_probe(x, lx, ux, ProbeKind::Less, verdict);
+            self.note_probe(x, lx, ux, ProbeKind::Less, probe_verdict(out));
         }
         out
     }
 
     fn try_less_value(&mut self, x: Pair, v: f64) -> Option<bool> {
-        let (lb, ub) = self.bounds(x);
-        if lb == ub {
-            // Exactly-known value: compare as the oracle would, no margin.
-            if self.observing() {
-                self.note_probe(x, lb, ub, ProbeKind::LessValue, ProbeVerdict::Known);
-            }
-            return Some(lb < v);
-        }
-        let out = if ub < v - DECISION_EPS {
-            Some(true)
-        } else if lb >= v + DECISION_EPS {
-            Some(false)
-        } else {
-            None
-        };
-        if self.observing() {
-            let verdict = match out {
-                Some(true) => ProbeVerdict::DecidedUb,
-                Some(false) => ProbeVerdict::DecidedLb,
-                None => ProbeVerdict::Inconclusive,
-            };
-            self.note_probe(x, lb, ub, ProbeKind::LessValue, verdict);
-        }
-        out
+        self.try_value(x, v, Cmp::Less)
     }
 
     fn try_leq_value(&mut self, x: Pair, v: f64) -> Option<bool> {
-        let (lb, ub) = self.bounds(x);
-        let out = leq_verdict(lb, ub, v);
-        if self.observing() {
-            let verdict = if lb == ub {
-                // Known fast path, mirroring the live resolver.
-                ProbeVerdict::Known
-            } else {
-                match out {
-                    Some(true) => ProbeVerdict::DecidedUb,
-                    Some(false) => ProbeVerdict::DecidedLb,
-                    None => ProbeVerdict::Inconclusive,
-                }
-            };
-            self.note_probe(x, lb, ub, ProbeKind::LeqValue, verdict);
-        }
-        out
+        self.try_value(x, v, Cmp::Leq)
     }
 
     fn try_less_sum2(&mut self, x: (Pair, Pair), y: (Pair, Pair)) -> Option<bool> {
@@ -262,20 +211,10 @@ impl DistanceResolver for SpecProbe<'_> {
         let (lx1, ux1) = self.bounds(x.1);
         let (ly0, uy0) = self.bounds(y.0);
         let (ly1, uy1) = self.bounds(y.1);
-        let out = if ux0 + ux1 < ly0 + ly1 - DECISION_EPS {
-            Some(true)
-        } else if lx0 + lx1 >= uy0 + uy1 + DECISION_EPS {
-            Some(false)
-        } else {
-            None
-        };
+        let (lx, ux) = (lx0 + lx1, ux0 + ux1);
+        let out = decide_pair(lx, ux, ly0 + ly1, uy0 + uy1);
         if self.observing() {
-            let verdict = match out {
-                Some(true) => ProbeVerdict::DecidedUb,
-                Some(false) => ProbeVerdict::DecidedLb,
-                None => ProbeVerdict::Inconclusive,
-            };
-            self.note_probe(x.0, lx0 + lx1, ux0 + ux1, ProbeKind::Sum2, verdict);
+            self.note_probe(x.0, lx, ux, ProbeKind::Sum2, probe_verdict(out));
         }
         out
     }
@@ -413,6 +352,9 @@ mod tests {
 
     #[test]
     fn leq_verdict_margins() {
+        // The snapshot-side `≤` verdict (kNN's speculative sweep) is the
+        // kernel's threshold probe.
+        let leq_verdict = |lb, ub, v| decide_value(lb, ub, v, Cmp::Leq).0;
         assert_eq!(leq_verdict(0.2, 0.2, 0.2), Some(true), "known, no margin");
         assert_eq!(leq_verdict(0.2, 0.2, 0.199_999), Some(false));
         assert_eq!(leq_verdict(0.1, 0.3, 0.5), Some(true));

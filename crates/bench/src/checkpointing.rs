@@ -98,11 +98,6 @@ impl DistanceResolver for CheckpointingResolver<'_> {
     fn known(&self, p: Pair) -> Option<f64> {
         self.inner.known(p)
     }
-    fn resolve(&mut self, p: Pair) -> f64 {
-        let d = self.inner.resolve(p);
-        self.snapshot_if_due();
-        d
-    }
     fn resolve_fallible(&mut self, p: Pair) -> Result<f64, OracleError> {
         let d = self.inner.resolve_fallible(p)?;
         self.snapshot_if_due();

@@ -62,13 +62,12 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
 use prox_core::invariant;
-use prox_core::invariant::expect_ok;
 use prox_core::weak::{Degradation, DegradationReport, DegradeReason, WeakOracle};
 use prox_core::{Metric, OracleError, Pair, PruneStats, SpecBounds};
 use prox_obs::{Metrics, ProvenanceLedger, ResolutionSource, TraceEvent, TraceSink, WeakOutcome};
 
 use crate::audit::{CorruptionStats, VOTE_CAP};
-use crate::resolver::DECISION_EPS;
+use crate::resolver::sandwiched;
 use crate::DistanceResolver;
 
 /// Weak-tier accounting, shaped like [`CorruptionStats`]: a plain counter
@@ -238,12 +237,6 @@ impl<R: DistanceResolver, M: Metric> CascadeResolver<R, M> {
         }
     }
 
-    /// Whether `value` sits inside the certified sandwich `[lb, ub]`
-    /// (with the standard decision margin).
-    fn in_sandwich(value: f64, lb: f64, ub: f64) -> bool {
-        value >= lb - DECISION_EPS && value <= ub + DECISION_EPS
-    }
-
     #[cold]
     fn note_weak(&self, p: Pair, attempts: u32, outcome: WeakOutcome) {
         if let Some(t) = &self.trace {
@@ -303,7 +296,7 @@ impl<R: DistanceResolver, M: Metric> CascadeResolver<R, M> {
             None => return 0.5 * (lb + ub),
         };
         let value = match vote {
-            Some(WeakVote::NoQuorum { first, .. }) if Self::in_sandwich(first, lb, ub) => {
+            Some(WeakVote::NoQuorum { first, .. }) if sandwiched(first, lb, ub) => {
                 report.weak_only += 1;
                 first
             }
@@ -332,10 +325,6 @@ impl<R: DistanceResolver, M: Metric> DistanceResolver for CascadeResolver<R, M> 
         self.inner.known(p)
     }
 
-    fn resolve(&mut self, p: Pair) -> f64 {
-        expect_ok(self.resolve_fallible(p), "cascade resolve")
-    }
-
     fn resolve_fallible(&mut self, p: Pair) -> Result<f64, OracleError> {
         if let Some(&bits) = self.fallback.get(&p.key()) {
             self.fallback_hits += 1;
@@ -353,7 +342,7 @@ impl<R: DistanceResolver, M: Metric> DistanceResolver for CascadeResolver<R, M> 
         };
         if let Some(WeakVote::Quorum { value, attempts }) = vote {
             let (lb, ub) = self.inner.bounds_hint(p);
-            if Self::in_sandwich(value, lb, ub) {
+            if sandwiched(value, lb, ub) {
                 self.note_weak(p, attempts, WeakOutcome::Resolved);
                 self.resolutions += 1;
                 // Record exactly as a strong resolution would have: the

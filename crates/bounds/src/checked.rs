@@ -132,12 +132,6 @@ impl<R: DistanceResolver, F: Fn(Pair) -> f64> DistanceResolver for CheckedResolv
         k
     }
 
-    fn resolve(&mut self, p: Pair) -> f64 {
-        let d = self.inner.resolve(p);
-        self.audit_exact(p, d, "resolve");
-        d
-    }
-
     fn resolve_fallible(&mut self, p: Pair) -> Result<f64, prox_core::OracleError> {
         // Errors pass through unaudited (there is no value to check);
         // successful resolutions are held to the exact-truth standard.
@@ -351,8 +345,8 @@ mod tests {
         fn known(&self, _p: Pair) -> Option<f64> {
             None
         }
-        fn resolve(&mut self, _p: Pair) -> f64 {
-            0.123 // wrong for every pair of the line metric
+        fn resolve_fallible(&mut self, _p: Pair) -> Result<f64, prox_core::OracleError> {
+            Ok(0.123) // wrong for every pair of the line metric
         }
         fn try_less(&mut self, _x: Pair, _y: Pair) -> Option<bool> {
             Some(false) // claims d(0,1) >= d(0,3): a lie on the line metric
@@ -423,7 +417,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "resolve: presented")]
+    // `resolve` derives from `resolve_fallible`, so the audit that fires is
+    // the fallible path's.
+    #[should_panic(expected = "resolve_fallible: presented")]
     fn catches_wrong_resolved_values() {
         let mut r = checked_liar(Liar::new());
         let _ = r.resolve(Pair::new(0, 3));

@@ -42,6 +42,110 @@ pub const DECISION_EPS: f64 = 1e-12;
 /// costs tightness, never correctness.
 pub const CASCADE_EPS: f64 = 1e-9;
 
+// ----- The verdict kernel ------------------------------------------------
+//
+// The paper's one rewritten IF statement (§3): decide `dist(x) < dist(y)` or
+// `dist(x) < v` from `(lb, ub)` sandwiches, or report that only the oracle
+// can. Every bound-based resolver — `BoundResolver`, the speculative
+// `SpecProbe`, the DFT prescreen — takes its verdicts from these functions,
+// so the live, speculative and LP paths cannot drift apart by a margin.
+
+/// Which threshold comparison a value probe decides.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum Cmp {
+    /// `dist(x) < v`.
+    Less,
+    /// `dist(x) <= v`.
+    Leq,
+}
+
+impl Cmp {
+    /// The trace label of a probe deciding this comparison.
+    #[inline]
+    pub fn kind(self) -> ProbeKind {
+        match self {
+            Cmp::Less => ProbeKind::LessValue,
+            Cmp::Leq => ProbeKind::LeqValue,
+        }
+    }
+}
+
+/// Pair test: `Some(true)` when `ux` clears `ly` by the margin
+/// (`dist(x) ≤ ux < ly ≤ dist(y)`), `Some(false)` when `lx` clears `uy`
+/// (`dist(x) ≥ lx ≥ uy ≥ dist(y)`), `None` on a near-tie or overlap. Sums
+/// decide the same way on their summed endpoints.
+#[inline]
+pub fn decide_pair(lx: f64, ux: f64, ly: f64, uy: f64) -> Option<bool> {
+    if ux < ly - DECISION_EPS {
+        Some(true)
+    } else if lx >= uy + DECISION_EPS {
+        Some(false)
+    } else {
+        None
+    }
+}
+
+/// Threshold test from a sandwich alone, with no exactly-known fast path.
+/// For `Leq` the false side is strict (`lb > v`), so ties stay open.
+#[inline]
+pub fn decide_threshold(lb: f64, ub: f64, v: f64, cmp: Cmp) -> Option<bool> {
+    decide_within(lb, ub, v, DECISION_EPS, cmp)
+}
+
+/// N-term sum test: `Σ dist(t) < v` from the summed sandwich `[lo, hi]` of
+/// `terms` terms. Every term adds its own rounding, so the margin scales
+/// with the term count.
+#[inline]
+pub fn decide_sum(lo: f64, hi: f64, v: f64, terms: usize) -> Option<bool> {
+    decide_within(lo, hi, v, DECISION_EPS * terms.max(1) as f64, Cmp::Less)
+}
+
+/// A threshold probe: [`decide_threshold`] plus the exactly-known fast
+/// path, with the [`ProbeVerdict`] a trace records for it.
+#[inline]
+pub fn decide_value(lb: f64, ub: f64, v: f64, cmp: Cmp) -> (Option<bool>, ProbeVerdict) {
+    if lb == ub {
+        // Exactly known (or pinched-exact) values carry no derivation
+        // noise, so they compare as the oracle itself would. lint: allow(L3)
+        let out = if cmp == Cmp::Leq { lb <= v } else { lb < v };
+        return (Some(out), ProbeVerdict::Known);
+    }
+    let out = decide_threshold(lb, ub, v, cmp);
+    (out, probe_verdict(out))
+}
+
+/// How a margin verdict is traced: which end of the sandwich decided it.
+#[inline]
+pub fn probe_verdict(out: Option<bool>) -> ProbeVerdict {
+    match out {
+        Some(true) => ProbeVerdict::DecidedUb,
+        Some(false) => ProbeVerdict::DecidedLb,
+        None => ProbeVerdict::Inconclusive,
+    }
+}
+
+/// Whether a presented value `d` fits the certified sandwich `[lb, ub]`
+/// up to the rounding margin; a value outside it is a proven lie.
+#[inline]
+pub fn sandwiched(d: f64, lb: f64, ub: f64) -> bool {
+    d >= lb - DECISION_EPS && d <= ub + DECISION_EPS
+}
+
+#[inline]
+fn decide_within(lb: f64, ub: f64, v: f64, margin: f64, cmp: Cmp) -> Option<bool> {
+    let (below, above) = match cmp {
+        Cmp::Less => (ub < v - margin, lb >= v + margin),
+        Cmp::Leq => (ub <= v - margin, lb > v + margin),
+    };
+    if below {
+        Some(true)
+    } else if above {
+        Some(false)
+    } else {
+        None
+    }
+}
+
 /// What a proximity algorithm is written against.
 ///
 /// The paper's recipe for adapting an existing algorithm is mechanical:
@@ -53,6 +157,15 @@ pub const CASCADE_EPS: f64 = 1e-9;
 /// resolution when the bounds are inconclusive. Because the fallback always
 /// yields exact distances, **the plugged algorithm's output is identical to
 /// the vanilla algorithm's** — only the number of oracle calls changes.
+///
+/// The contract is fallible-first. An implementor writes
+/// [`DistanceResolver::resolve_fallible`] and the bounds-only `try_*`
+/// probes; `resolve` and the four infallible combinators (`less`,
+/// `distance_if_less`, `less_sum2`, `distance_if_leq`) are derived from
+/// their `_fallible` twins and panic, through `prox_core::invariant`, only
+/// where those would return an [`OracleError`]. Bound-based `try_*` bodies
+/// take their verdicts from the kernel above ([`decide_pair`],
+/// [`decide_value`], …) rather than restating the margins.
 pub trait DistanceResolver {
     /// Number of objects.
     fn n(&self) -> usize;
@@ -64,20 +177,18 @@ pub trait DistanceResolver {
     #[must_use]
     fn known(&self, p: Pair) -> Option<f64>;
 
-    /// Exact distance, calling the oracle if necessary.
-    fn resolve(&mut self, p: Pair) -> f64;
-
-    /// Fallible twin of [`DistanceResolver::resolve`], for fault-aware
-    /// callers: resolution failures (`prox_core::OracleError`) surface as
-    /// values instead of panics, and a failed attempt records *nothing* —
-    /// the resolver's knowledge and stats advance only on success.
-    ///
-    /// The default forwards to `resolve`, which is correct for resolvers
-    /// that never touch a fallible oracle (test doubles, speculative
-    /// probes); oracle-backed resolvers override it.
-    fn resolve_fallible(&mut self, p: Pair) -> Result<f64, OracleError> {
-        Ok(self.resolve(p))
+    /// Exact distance, calling the oracle if necessary: the infallible
+    /// form of [`DistanceResolver::resolve_fallible`].
+    fn resolve(&mut self, p: Pair) -> f64 {
+        expect_ok(self.resolve_fallible(p), "resolve on the infallible path")
     }
+
+    /// Exact distance, calling the oracle if necessary. Resolution failures
+    /// (`prox_core::OracleError`) surface as values, and a failed attempt
+    /// records *nothing* — the resolver's knowledge and stats advance only
+    /// on success. Resolvers that never touch a fallible oracle (test
+    /// doubles, speculative probes) simply always return `Ok`.
+    fn resolve_fallible(&mut self, p: Pair) -> Result<f64, OracleError>;
 
     /// Tries to decide `dist(x) < dist(y)` without the oracle.
     #[must_use = "a discarded verdict wastes the bound derivation"]
@@ -125,14 +236,7 @@ pub trait DistanceResolver {
             lo += l;
             hi += u;
         }
-        let margin = DECISION_EPS * terms.len().max(1) as f64;
-        if hi < v - margin {
-            Some(true)
-        } else if lo >= v + margin {
-            Some(false)
-        } else {
-            None
-        }
+        decide_sum(lo, hi, v, terms.len())
     }
 
     /// Current lower bound for `x` (`0` when the resolver has no scheme).
@@ -224,10 +328,10 @@ pub trait DistanceResolver {
     /// keeps every consumer on the sequential path.
     ///
     /// Implementors must guarantee that their `try_*` verdicts are the
-    /// pure decision functions of `bounds`/`known` used by
-    /// [`BoundResolver`] — the committer's speculative replay reproduces
-    /// exactly those decisions (same [`DECISION_EPS`] margins, same known
-    /// fast paths).
+    /// verdict kernel ([`decide_pair`], [`decide_value`]) applied to
+    /// `bounds`, exactly as [`BoundResolver`] applies it — the committer's
+    /// speculative replay runs the same kernel on snapshot bounds, so the
+    /// two agree by construction rather than by copy discipline.
     fn spec(&self) -> Option<&dyn SpecBounds> {
         None
     }
@@ -247,86 +351,50 @@ pub trait DistanceResolver {
 
     /// Decides `dist(x) < dist(y)`, resolving both distances only when the
     /// bounds are inconclusive. This is the re-authored
-    /// `if dist(o_i,o_j) ≥ dist(o_k,o_l)` statement from §3.
+    /// `if dist(o_i,o_j) ≥ dist(o_k,o_l)` statement from §3. Infallible
+    /// form of [`DistanceResolver::less_fallible`].
     fn less(&mut self, x: Pair, y: Pair) -> bool {
-        match self.try_less(x, y) {
-            Some(b) => {
-                self.prune_stats_mut().decided_by_bounds += 1;
-                b
-            }
-            None => {
-                self.prune_stats_mut().fell_through += 1;
-                self.resolve(x) < self.resolve(y)
-            }
-        }
+        expect_ok(self.less_fallible(x, y), "less on the infallible path")
     }
 
     /// Returns `Some(dist(x))` iff `dist(x) < v`, resolving only when the
     /// bounds cannot rule the candidate out. This is the dominant idiom in
     /// Prim / PAM / kNN: "is this candidate closer than my current best —
-    /// and if so, how close exactly?"
+    /// and if so, how close exactly?" Infallible form of
+    /// [`DistanceResolver::distance_if_less_fallible`].
     fn distance_if_less(&mut self, x: Pair, v: f64) -> Option<f64> {
-        match self.try_less_value(x, v) {
-            Some(false) => {
-                // Bounds proved dist(x) >= v: candidate discarded for free.
-                self.prune_stats_mut().decided_by_bounds += 1;
-                None
-            }
-            Some(true) => {
-                // The comparison is decided but the caller needs the value.
-                self.prune_stats_mut().decided_by_bounds += 1;
-                Some(self.resolve(x))
-            }
-            None => {
-                self.prune_stats_mut().fell_through += 1;
-                let d = self.resolve(x);
-                (d < v).then_some(d)
-            }
-        }
+        expect_ok(
+            self.distance_if_less_fallible(x, v),
+            "distance_if_less on the infallible path",
+        )
     }
 
     /// Decides the 2-opt aggregate comparison, resolving all four distances
-    /// when the try is inconclusive.
+    /// when the try is inconclusive. Infallible form of
+    /// [`DistanceResolver::less_sum2_fallible`].
     fn less_sum2(&mut self, x: (Pair, Pair), y: (Pair, Pair)) -> bool {
-        match self.try_less_sum2(x, y) {
-            Some(b) => {
-                self.prune_stats_mut().decided_by_bounds += 1;
-                b
-            }
-            None => {
-                self.prune_stats_mut().fell_through += 1;
-                self.resolve(x.0) + self.resolve(x.1) < self.resolve(y.0) + self.resolve(y.1)
-            }
-        }
+        expect_ok(
+            self.less_sum2_fallible(x, y),
+            "less_sum2 on the infallible path",
+        )
     }
 
     /// Returns `Some(dist(x))` iff `dist(x) <= v` — the tie-inclusive
-    /// sibling of [`DistanceResolver::distance_if_less`].
+    /// sibling of [`DistanceResolver::distance_if_less`]. Infallible form
+    /// of [`DistanceResolver::distance_if_leq_fallible`].
     fn distance_if_leq(&mut self, x: Pair, v: f64) -> Option<f64> {
-        match self.try_leq_value(x, v) {
-            Some(false) => {
-                self.prune_stats_mut().decided_by_bounds += 1;
-                None
-            }
-            Some(true) => {
-                self.prune_stats_mut().decided_by_bounds += 1;
-                Some(self.resolve(x))
-            }
-            None => {
-                self.prune_stats_mut().fell_through += 1;
-                let d = self.resolve(x);
-                (d <= v).then_some(d)
-            }
-        }
+        expect_ok(
+            self.distance_if_leq_fallible(x, v),
+            "distance_if_leq on the infallible path",
+        )
     }
 
     // ----- Fallible combinators ------------------------------------------
     //
-    // Fault-aware twins of the re-authored IF statements above. Each one
-    // performs *exactly* the same bound probes and stats accounting as its
-    // infallible sibling — a run that never faults takes identical
-    // decisions with identical `PruneStats` — and propagates the first
-    // oracle failure instead of panicking.
+    // The re-authored IF statements themselves: one bounds-only `try_*`
+    // probe, stats accounting, and oracle resolution only on an
+    // inconclusive (or decided-but-value-needed) probe. The first oracle
+    // failure propagates; the infallible forms above panic on it instead.
 
     /// Fallible [`DistanceResolver::less`].
     fn less_fallible(&mut self, x: Pair, y: Pair) -> Result<bool, OracleError> {
@@ -344,21 +412,7 @@ pub trait DistanceResolver {
 
     /// Fallible [`DistanceResolver::distance_if_less`].
     fn distance_if_less_fallible(&mut self, x: Pair, v: f64) -> Result<Option<f64>, OracleError> {
-        match self.try_less_value(x, v) {
-            Some(false) => {
-                self.prune_stats_mut().decided_by_bounds += 1;
-                Ok(None)
-            }
-            Some(true) => {
-                self.prune_stats_mut().decided_by_bounds += 1;
-                Ok(Some(self.resolve_fallible(x)?))
-            }
-            None => {
-                self.prune_stats_mut().fell_through += 1;
-                let d = self.resolve_fallible(x)?;
-                Ok((d < v).then_some(d))
-            }
-        }
+        distance_if(self, x, v, Cmp::Less)
     }
 
     /// Fallible [`DistanceResolver::less_sum2`].
@@ -383,20 +437,40 @@ pub trait DistanceResolver {
 
     /// Fallible [`DistanceResolver::distance_if_leq`].
     fn distance_if_leq_fallible(&mut self, x: Pair, v: f64) -> Result<Option<f64>, OracleError> {
-        match self.try_leq_value(x, v) {
-            Some(false) => {
-                self.prune_stats_mut().decided_by_bounds += 1;
-                Ok(None)
-            }
-            Some(true) => {
-                self.prune_stats_mut().decided_by_bounds += 1;
-                Ok(Some(self.resolve_fallible(x)?))
-            }
-            None => {
-                self.prune_stats_mut().fell_through += 1;
-                let d = self.resolve_fallible(x)?;
-                Ok((d <= v).then_some(d))
-            }
+        distance_if(self, x, v, Cmp::Leq)
+    }
+}
+
+/// The threshold IF statement behind `distance_if_less_fallible` and
+/// `distance_if_leq_fallible`: `Some(dist(x))` iff `dist(x) cmp v`,
+/// resolving `x` unless the bounds rule it out.
+#[inline]
+fn distance_if<R: DistanceResolver + ?Sized>(
+    r: &mut R,
+    x: Pair,
+    v: f64,
+    cmp: Cmp,
+) -> Result<Option<f64>, OracleError> {
+    let probe = match cmp {
+        Cmp::Less => r.try_less_value(x, v),
+        Cmp::Leq => r.try_leq_value(x, v),
+    };
+    match probe {
+        // Bounds proved the comparison false: candidate discarded for free.
+        Some(false) => {
+            r.prune_stats_mut().decided_by_bounds += 1;
+            Ok(None)
+        }
+        // Decided true, but the caller needs the value.
+        Some(true) => {
+            r.prune_stats_mut().decided_by_bounds += 1;
+            Ok(Some(r.resolve_fallible(x)?))
+        }
+        None => {
+            r.prune_stats_mut().fell_through += 1;
+            let d = r.resolve_fallible(x)?;
+            let hit = if cmp == Cmp::Leq { d <= v } else { d < v };
+            Ok(hit.then_some(d))
         }
     }
 }
@@ -561,7 +635,7 @@ impl<'o, M: Metric, S: BoundScheme> BoundResolver<'o, M, S> {
         let r0 = self.audit_mut().cursor(p);
         let v = self.oracle.try_call_replica(p, r0)?;
         self.audit_mut().advance(p, r0 + 1);
-        if v >= lb - DECISION_EPS && v <= ub + DECISION_EPS {
+        if sandwiched(v, lb, ub) {
             self.scheme.record(p, v);
             self.stats.resolved += 1;
             return Ok(v);
@@ -573,8 +647,7 @@ impl<'o, M: Metric, S: BoundScheme> BoundResolver<'o, M, S> {
         // vote's first call is overhead too, hence the extra requery tick.
         let trusted = self.voted_value(p, 2)?;
         self.audit_mut().stats.requeries += 1;
-        let fits = trusted >= lb - DECISION_EPS && trusted <= ub + DECISION_EPS;
-        let (lb, ub) = if fits {
+        let (lb, ub) = if sandwiched(trusted, lb, ub) {
             (lb, ub)
         } else {
             // The trusted value also violates the sandwich, so the sandwich
@@ -584,7 +657,7 @@ impl<'o, M: Metric, S: BoundScheme> BoundResolver<'o, M, S> {
             self.bcache.clear();
             let (lb2, ub2) = self.scheme.bounds(p);
             invariant!(
-                trusted >= lb2 - DECISION_EPS && trusted <= ub2 + DECISION_EPS,
+                sandwiched(trusted, lb2, ub2),
                 "trusted value {trusted} for ({}, {}) still violates repaired bounds \
                  [{lb2}, {ub2}]",
                 p.lo(),
@@ -686,20 +759,56 @@ impl<'o, M: Metric, S: BoundScheme> BoundResolver<'o, M, S> {
         self.trace.is_none() && self.scheme.goal_aware()
     }
 
-    /// Threshold probe through the cascade: the goal-aware sibling of the
-    /// exact-path bodies of `try_less_value` / `try_leq_value` (`leq`
-    /// selects which). Produces the identical verdict — exact results run
-    /// the identical decision function on identical bounds, and decisive
-    /// results are certified by the scheme to agree (checked here in debug
-    /// builds against a fresh exact sandwich).
-    fn try_value_via_cascade(&mut self, x: Pair, v: f64, leq: bool) -> Option<bool> {
+    /// The threshold probes `try_less_value` / `try_leq_value`: bounds from
+    /// the goal-aware cascade when it is on (see [`Self::cascade_bounds`]),
+    /// else the memoized exact sandwich; the verdict from the kernel. A
+    /// cascade-decided verdict is attributed to the tier that produced it.
+    #[inline]
+    fn try_value(&mut self, x: Pair, v: f64, cmp: Cmp) -> Option<bool> {
+        let cascade = self.cascade_on();
+        let (lb, ub, tier) = if cascade {
+            self.cascade_bounds(x, v)
+        } else {
+            let (lb, ub) = self.cached_bounds(x);
+            (lb, ub, None)
+        };
+        let (out, verdict) = decide_value(lb, ub, v, cmp);
+        if cascade && out.is_some() {
+            match tier {
+                Some(CascadeTier::Ado) => self.dec_ado += 1,
+                Some(CascadeTier::Bidi) => self.dec_bidi += 1,
+                None => self.dec_full += 1,
+            }
+        }
+        #[cfg(debug_assertions)]
+        if tier.is_some() {
+            // Decisive tiers are certified to agree with the exact tier.
+            let (le, ue) = self.scheme.bounds(x);
+            debug_assert!(out.is_some(), "Decisive cascade result failed to decide");
+            debug_assert_eq!(
+                out,
+                decide_value(le, ue, v, cmp).0,
+                "cascade verdict diverged from the exact tier for {x:?} at v={v}"
+            );
+        }
+        if self.observing() {
+            self.note_probe(x, lb, ub, cmp.kind(), verdict);
+        }
+        out
+    }
+
+    /// Bounds for a threshold probe against `v` through the scheme's
+    /// goal-aware cascade ([`BoundScheme::bounds_for_goal`]), with the
+    /// decisive tier if a cheap tier settled it (`None`: the exact
+    /// sandwich). A decisive sandwich is relaxed but gives the exact
+    /// tier's verdict (checked in debug builds by [`Self::try_value`]).
+    fn cascade_bounds(&mut self, x: Pair, v: f64) -> (f64, f64, Option<CascadeTier>) {
         // A fresh bcache entry *is* the exact sandwich; it outranks every
         // cascade tier and keeps cache accounting identical to the exact
         // path.
         let cached = if self.cache_on {
             self.bcache
                 .get(&x.key())
-                // Integer generation stamps, not distances. lint: allow(L3)
                 .and_then(|&(lb, ub, gen)| (self.scheme.pair_stamp(x) <= gen).then_some((lb, ub)))
         } else {
             None
@@ -728,86 +837,12 @@ impl<'o, M: Metric, S: BoundScheme> BoundResolver<'o, M, S> {
                 }
             },
         };
-        let decisive = tier.is_some();
-        if !decisive {
+        if tier.is_none() {
             if let Some(m) = &self.metrics {
                 m.inc("splub_full_fallback", 1);
             }
         }
-        let kind = if leq {
-            ProbeKind::LeqValue
-        } else {
-            ProbeKind::LessValue
-        };
-        if !decisive && lb == ub {
-            // Exactly known (or pinched-exact) values carry no derivation
-            // noise, so this compares as the oracle itself would — the same
-            // fast path as the exact probe bodies. lint: allow(L3)
-            let out = if leq { lb <= v } else { lb < v };
-            self.dec_full += 1;
-            if self.observing() {
-                self.note_probe(x, lb, ub, kind, ProbeVerdict::Known);
-            }
-            return Some(out);
-        }
-        let out = if leq {
-            if ub <= v - DECISION_EPS {
-                Some(true)
-            } else if lb > v + DECISION_EPS {
-                Some(false)
-            } else {
-                None
-            }
-        } else if ub < v - DECISION_EPS {
-            Some(true)
-        } else if lb >= v + DECISION_EPS {
-            Some(false)
-        } else {
-            None
-        };
-        #[cfg(debug_assertions)]
-        if decisive {
-            debug_assert!(out.is_some(), "Decisive cascade result failed to decide");
-            let (le, ue) = self.scheme.bounds(x);
-            let exact = if le == ue {
-                // Same exactly-known fast path as above. lint: allow(L3)
-                Some(if leq { le <= v } else { le < v })
-            } else if leq {
-                if ue <= v - DECISION_EPS {
-                    Some(true)
-                } else if le > v + DECISION_EPS {
-                    Some(false)
-                } else {
-                    None
-                }
-            } else if ue < v - DECISION_EPS {
-                Some(true)
-            } else if le >= v + DECISION_EPS {
-                Some(false)
-            } else {
-                None
-            };
-            debug_assert_eq!(
-                out, exact,
-                "cascade verdict diverged from the exact tier for {x:?} at v={v}"
-            );
-        }
-        if out.is_some() {
-            match tier {
-                Some(CascadeTier::Ado) => self.dec_ado += 1,
-                Some(CascadeTier::Bidi) => self.dec_bidi += 1,
-                None => self.dec_full += 1,
-            }
-        }
-        if self.observing() {
-            let verdict = match out {
-                Some(true) => ProbeVerdict::DecidedUb,
-                Some(false) => ProbeVerdict::DecidedLb,
-                None => ProbeVerdict::Inconclusive,
-            };
-            self.note_probe(x, lb, ub, kind, verdict);
-        }
-        out
+        (lb, ub, tier)
     }
 
     /// Read access to the scheme.
@@ -852,23 +887,6 @@ impl<'o, M: Metric, S: BoundScheme> DistanceResolver for BoundResolver<'o, M, S>
         self.scheme.known(p)
     }
 
-    fn resolve(&mut self, p: Pair) -> f64 {
-        if let Some(d) = self.scheme.known(p) {
-            self.stats.served_known += 1;
-            return d;
-        }
-        if self.audit.is_some() {
-            return expect_ok(
-                self.resolve_audited(p),
-                "infallible audited path hit a fault",
-            );
-        }
-        let d = self.oracle.call_pair(p);
-        self.scheme.record(p, d);
-        self.stats.resolved += 1;
-        d
-    }
-
     fn resolve_fallible(&mut self, p: Pair) -> Result<f64, OracleError> {
         if let Some(d) = self.scheme.known(p) {
             self.stats.served_known += 1;
@@ -889,83 +907,19 @@ impl<'o, M: Metric, S: BoundScheme> DistanceResolver for BoundResolver<'o, M, S>
     fn try_less(&mut self, x: Pair, y: Pair) -> Option<bool> {
         let (lx, ux) = self.cached_bounds(x);
         let (ly, uy) = self.cached_bounds(y);
-        let out = if ux < ly - DECISION_EPS {
-            Some(true) // dist(x) <= ub(x) < lb(y) <= dist(y)
-        } else if lx >= uy + DECISION_EPS {
-            Some(false) // dist(x) >= lb(x) >= ub(y) >= dist(y)
-        } else {
-            None
-        };
+        let out = decide_pair(lx, ux, ly, uy);
         if self.observing() {
-            let verdict = match out {
-                Some(true) => ProbeVerdict::DecidedUb,
-                Some(false) => ProbeVerdict::DecidedLb,
-                None => ProbeVerdict::Inconclusive,
-            };
-            self.note_probe(x, lx, ux, ProbeKind::Less, verdict);
+            self.note_probe(x, lx, ux, ProbeKind::Less, probe_verdict(out));
         }
         out
     }
 
     fn try_less_value(&mut self, x: Pair, v: f64) -> Option<bool> {
-        if self.cascade_on() {
-            return self.try_value_via_cascade(x, v, false);
-        }
-        let (lb, ub) = self.cached_bounds(x);
-        if lb == ub {
-            if self.observing() {
-                self.note_probe(x, lb, ub, ProbeKind::LessValue, ProbeVerdict::Known);
-            }
-            // Exactly known (recorded) values carry no derivation noise,
-            // so this compares as the oracle itself would. lint: allow(L3)
-            return Some(lb < v);
-        }
-        let out = if ub < v - DECISION_EPS {
-            Some(true)
-        } else if lb >= v + DECISION_EPS {
-            Some(false)
-        } else {
-            None
-        };
-        if self.observing() {
-            let verdict = match out {
-                Some(true) => ProbeVerdict::DecidedUb,
-                Some(false) => ProbeVerdict::DecidedLb,
-                None => ProbeVerdict::Inconclusive,
-            };
-            self.note_probe(x, lb, ub, ProbeKind::LessValue, verdict);
-        }
-        out
+        self.try_value(x, v, Cmp::Less)
     }
 
     fn try_leq_value(&mut self, x: Pair, v: f64) -> Option<bool> {
-        if self.cascade_on() {
-            return self.try_value_via_cascade(x, v, true);
-        }
-        let (lb, ub) = self.cached_bounds(x);
-        if lb == ub {
-            if self.observing() {
-                self.note_probe(x, lb, ub, ProbeKind::LeqValue, ProbeVerdict::Known);
-            }
-            // Exactly known value: compare as the oracle would. lint: allow(L3)
-            return Some(lb <= v);
-        }
-        let out = if ub <= v - DECISION_EPS {
-            Some(true)
-        } else if lb > v + DECISION_EPS {
-            Some(false)
-        } else {
-            None
-        };
-        if self.observing() {
-            let verdict = match out {
-                Some(true) => ProbeVerdict::DecidedUb,
-                Some(false) => ProbeVerdict::DecidedLb,
-                None => ProbeVerdict::Inconclusive,
-            };
-            self.note_probe(x, lb, ub, ProbeKind::LeqValue, verdict);
-        }
-        out
+        self.try_value(x, v, Cmp::Leq)
     }
 
     fn try_less_sum2(&mut self, x: (Pair, Pair), y: (Pair, Pair)) -> Option<bool> {
@@ -973,24 +927,12 @@ impl<'o, M: Metric, S: BoundScheme> DistanceResolver for BoundResolver<'o, M, S>
         let (lx1, ux1) = self.cached_bounds(x.1);
         let (ly0, uy0) = self.cached_bounds(y.0);
         let (ly1, uy1) = self.cached_bounds(y.1);
-        // A small safety margin absorbs the rounding of summed bounds; the
-        // near-tie cases fall through and are compared exactly.
-        let out = if ux0 + ux1 < ly0 + ly1 - DECISION_EPS {
-            Some(true)
-        } else if lx0 + lx1 >= uy0 + uy1 + DECISION_EPS {
-            Some(false)
-        } else {
-            None
-        };
+        let (lx, ux) = (lx0 + lx1, ux0 + ux1);
+        let out = decide_pair(lx, ux, ly0 + ly1, uy0 + uy1);
         if self.observing() {
-            let verdict = match out {
-                Some(true) => ProbeVerdict::DecidedUb,
-                Some(false) => ProbeVerdict::DecidedLb,
-                None => ProbeVerdict::Inconclusive,
-            };
             // The event is keyed by the lead pair of the left sum and
             // carries the summed interval of that side.
-            self.note_probe(x.0, lx0 + lx1, ux0 + ux1, ProbeKind::Sum2, verdict);
+            self.note_probe(x.0, lx, ux, ProbeKind::Sum2, probe_verdict(out));
         }
         out
     }

@@ -792,7 +792,7 @@ mod tests {
         // sandwich must agree with the exact sandwich for both the strict
         // and non-strict probe under DECISION_EPS margins — and the
         // relaxation must actually relax.
-        use crate::resolver::DECISION_EPS;
+        use crate::resolver::{decide_threshold, Cmp};
         for seed in 0..4u64 {
             let n = 20;
             let mut s = Splub::new(n, 1.0);
@@ -816,37 +816,13 @@ mod tests {
                     {
                         assert!(lb <= le + 1e-12 && ub >= ue - 1e-12, "not a relaxation");
                         // try_less_value verdicts.
-                        let relaxed = if ub < v - DECISION_EPS {
-                            Some(true)
-                        } else if lb >= v + DECISION_EPS {
-                            Some(false)
-                        } else {
-                            None
-                        };
-                        let exact = if ue < v - DECISION_EPS {
-                            Some(true)
-                        } else if le >= v + DECISION_EPS {
-                            Some(false)
-                        } else {
-                            None
-                        };
+                        let relaxed = decide_threshold(lb, ub, v, Cmp::Less);
+                        let exact = decide_threshold(le, ue, v, Cmp::Less);
                         assert!(relaxed.is_some(), "Decisive must decide {q:?} v={v}");
                         assert_eq!(relaxed, exact, "seed {seed} {q:?} v={v}");
                         // try_leq_value verdicts (false side is strict >).
-                        let relaxed_leq = if ub <= v - DECISION_EPS {
-                            Some(true)
-                        } else if lb > v + DECISION_EPS {
-                            Some(false)
-                        } else {
-                            None
-                        };
-                        let exact_leq = if ue <= v - DECISION_EPS {
-                            Some(true)
-                        } else if le > v + DECISION_EPS {
-                            Some(false)
-                        } else {
-                            None
-                        };
+                        let relaxed_leq = decide_threshold(lb, ub, v, Cmp::Leq);
+                        let exact_leq = decide_threshold(le, ue, v, Cmp::Leq);
                         assert_eq!(relaxed_leq, exact_leq, "seed {seed} {q:?} v={v} (leq)");
                     }
                 }

@@ -1,5 +1,6 @@
 //! The partial known-distance graph (§3.1 of the paper).
 
+use prox_core::invariant::InvariantExt;
 use prox_core::{ObjectId, Pair};
 
 /// The graph of distances resolved so far.
@@ -7,11 +8,11 @@ use prox_core::{ObjectId, Pair};
 /// Adjacency lists are kept **sorted by neighbour id**. The paper stores
 /// them in balanced BSTs to make the Tri Scheme's list intersection fast;
 /// a sorted `Vec` provides the same `O(deg)` ordered traversal and
-/// `O(log deg)` membership test with much better cache behaviour (the
-/// losing `BTreeMap` variant survives only behind `prox-bounds`'
-/// `ablation` feature; the `tri_adjacency` bench keeps the winner's
-/// numbers pinned). Insertion is `O(deg)` due to the shift, which is far
-/// below the oracle cost this workspace optimizes.
+/// `O(log deg)` membership test with much better cache behaviour (a
+/// `BTreeMap` variant lost on every benched size and was deleted; the
+/// `tri_adjacency` bench keeps the winner's numbers pinned). Insertion is
+/// `O(deg)` due to the shift, which is far below the oracle cost this
+/// workspace optimizes.
 #[derive(Clone, Debug, Default)]
 pub struct PartialGraph {
     adj: Vec<Vec<(ObjectId, f64)>>,
@@ -110,7 +111,8 @@ impl PartialGraph {
                 Self::reserve_adj(&mut self.adj[b as usize]);
                 let j = self.adj[b as usize]
                     .binary_search_by_key(&a, |&(id, _)| id)
-                    .unwrap_err();
+                    .err()
+                    .expect_invariant("adjacency lists are symmetric");
                 self.adj[b as usize].insert(j, (a, d));
                 self.edges.push((p, d));
                 self.generation += 1;

@@ -2,7 +2,8 @@
 
 use std::collections::BTreeMap;
 
-use prox_bounds::{BoundScheme, DistanceResolver, Splub, DECISION_EPS};
+use prox_bounds::resolver::{decide_pair, decide_threshold, decide_value, Cmp};
+use prox_bounds::{BoundScheme, DistanceResolver, Splub};
 use prox_core::invariant::InvariantExt;
 use prox_core::{Metric, Oracle, Pair, PruneStats};
 
@@ -100,6 +101,36 @@ impl<'o, M: Metric> DftResolver<'o, M> {
 
     fn known_d(&self, p: Pair) -> Option<f64> {
         self.known.get(&p.key()).copied()
+    }
+
+    /// The threshold probes `try_less_value` (`Cmp::Less`) and
+    /// `try_leq_value` (`Cmp::Leq`): a known distance compares exactly, the
+    /// interval prescreen takes `BoundResolver`'s verdict, and only a
+    /// near-tie reaches the LP.
+    fn try_value(&mut self, x: Pair, v: f64, cmp: Cmp) -> Option<bool> {
+        if let Some(d) = self.known_d(x) {
+            return decide_value(d, d, v, cmp).0;
+        }
+        let (lb, ub) = self.screen.bounds(x);
+        if let Some(b) = decide_threshold(lb, ub, v, cmp) {
+            return Some(b);
+        }
+        // With weak LP inequalities, infeasibility of d(x) ≥ v certifies
+        // d(x) < v (true for both probes) and infeasibility of d(x) ≤ v
+        // certifies d(x) > v (false for both). `<` tests the true side
+        // first, `≤` the false side.
+        let sides = match cmp {
+            Cmp::Less => [true, false],
+            Cmp::Leq => [false, true],
+        };
+        for verdict in sides {
+            // `d(x) ≥ v` is written as `−d(x) ≤ −v`.
+            let (coeff, rhs) = if verdict { (-1.0, -v) } else { (1.0, v) };
+            if self.feasible_with(&[(x, coeff)], rhs) == Feasibility::Infeasible {
+                return Some(verdict);
+            }
+        }
+        None
     }
 
     /// Tries to decide `Σ dist(p_i) < v` — an **aggregate** comparison.
@@ -302,26 +333,13 @@ impl<'o, M: Metric> DistanceResolver for DftResolver<'o, M> {
         self.known_d(p)
     }
 
-    fn resolve(&mut self, p: Pair) -> f64 {
-        if let Some(d) = self.known_d(p) {
-            self.stats.served_known += 1;
-            return d;
-        }
-        let d = self.oracle.call_pair(p);
-        self.known.insert(p.key(), d);
-        self.cache = None; // knowledge changed; rebuild lazily
-        self.screen.record(p, d);
-        self.stats.resolved += 1;
-        d
-    }
-
     fn resolve_fallible(&mut self, p: Pair) -> Result<f64, prox_core::OracleError> {
         if let Some(d) = self.known_d(p) {
             self.stats.served_known += 1;
             return Ok(d);
         }
-        // As in `resolve`, but a faulted attempt leaves the knowledge set,
-        // the LP cache, and the stats untouched.
+        // A faulted attempt leaves the knowledge set, the LP cache, and the
+        // stats untouched.
         let d = self.oracle.try_call_pair(p)?;
         self.known.insert(p.key(), d);
         self.cache = None; // knowledge changed; rebuild lazily
@@ -339,14 +357,11 @@ impl<'o, M: Metric> DistanceResolver for DftResolver<'o, M> {
             return Some(dx < dy);
         }
         // Exact-bound prescreen: a decided comparison needs no LP. The
-        // margin matches `BoundResolver`; near-ties fall through to the LP.
+        // verdict is `BoundResolver`'s; near-ties fall through to the LP.
         let (lx, ux) = self.screen.bounds(x);
         let (ly, uy) = self.screen.bounds(y);
-        if ux < ly - DECISION_EPS {
-            return Some(true);
-        }
-        if lx >= uy + DECISION_EPS {
-            return Some(false);
+        if let Some(b) = decide_pair(lx, ux, ly, uy) {
+            return Some(b);
         }
         // Certainly true iff the reversed constraint d(y) ≤ d(x), i.e.
         // d(y) − d(x) ≤ 0, leaves no feasible region.
@@ -361,49 +376,11 @@ impl<'o, M: Metric> DistanceResolver for DftResolver<'o, M> {
     }
 
     fn try_less_value(&mut self, x: Pair, v: f64) -> Option<bool> {
-        if let Some(d) = self.known_d(x) {
-            // Distance known exactly. lint: allow(L3)
-            return Some(d < v);
-        }
-        let (lb, ub) = self.screen.bounds(x);
-        if ub < v - DECISION_EPS {
-            return Some(true);
-        }
-        if lb >= v + DECISION_EPS {
-            return Some(false);
-        }
-        // d(x) ≥ v infeasible ⇒ d(x) < v.
-        if self.feasible_with(&[(x, -1.0)], -v) == Feasibility::Infeasible {
-            return Some(true);
-        }
-        // d(x) ≤ v infeasible ⇒ d(x) > v ⇒ not less.
-        if self.feasible_with(&[(x, 1.0)], v) == Feasibility::Infeasible {
-            return Some(false);
-        }
-        None
+        self.try_value(x, v, Cmp::Less)
     }
 
     fn try_leq_value(&mut self, x: Pair, v: f64) -> Option<bool> {
-        if let Some(d) = self.known_d(x) {
-            // Distance known exactly. lint: allow(L3)
-            return Some(d <= v);
-        }
-        let (lb, ub) = self.screen.bounds(x);
-        if ub <= v - DECISION_EPS {
-            return Some(true);
-        }
-        if lb > v + DECISION_EPS {
-            return Some(false);
-        }
-        // With weak LP inequalities, infeasibility of d(x) ≤ v certifies
-        // d(x) > v, and infeasibility of d(x) ≥ v certifies d(x) < v ≤ v.
-        if self.feasible_with(&[(x, 1.0)], v) == Feasibility::Infeasible {
-            return Some(false);
-        }
-        if self.feasible_with(&[(x, -1.0)], -v) == Feasibility::Infeasible {
-            return Some(true);
-        }
-        None
+        self.try_value(x, v, Cmp::Leq)
     }
 
     fn try_less_sum2(&mut self, x: (Pair, Pair), y: (Pair, Pair)) -> Option<bool> {
@@ -412,11 +389,8 @@ impl<'o, M: Metric> DistanceResolver for DftResolver<'o, M> {
         let (lx1, ux1) = self.screen.bounds(x.1);
         let (ly0, uy0) = self.screen.bounds(y.0);
         let (ly1, uy1) = self.screen.bounds(y.1);
-        if ux0 + ux1 < ly0 + ly1 - DECISION_EPS {
-            return Some(true);
-        }
-        if lx0 + lx1 >= uy0 + uy1 + DECISION_EPS {
-            return Some(false);
+        if let Some(b) = decide_pair(lx0 + lx1, ux0 + ux1, ly0 + ly1, uy0 + uy1) {
+            return Some(b);
         }
         // Joint feasibility on the 4-term difference — this is where the LP
         // is strictly stronger than interval sums.

@@ -27,8 +27,8 @@
 //! |------|-------|------------|
 //! | L1 | everywhere except `prox-core` and `prox-datasets` | direct `Metric::distance` calls |
 //! | L2 | `crates/algos` | `Oracle::call` / `call_pair` (algorithms speak `DistanceResolver`) |
-//! | L3 | `try_*` bodies in `crates/bounds` + `crates/lp` | raw float comparisons with no `DECISION_EPS`/eps margin |
-//! | L4 | library crates | `unwrap` / `expect` / `panic!` (use `prox_core::invariant`) |
+//! | L3 | `try_*` bodies and the verdict kernel's `decide_*` bodies in `crates/bounds` + `crates/lp` | raw float comparisons with no `DECISION_EPS`/eps margin |
+//! | L4 | library crates | `unwrap` / `expect` / `unwrap_err` / `expect_err` / `panic!` / `unreachable!` (use `prox_core::invariant`) |
 //! | L5 | everywhere except `prox-exec` | `std::thread` (threading goes through `ExecPool` so determinism stays centralised) |
 //! | L6 | library crates | discarding a fallible oracle result via `.ok()` / `let _ =` (an `OracleError` must propagate or be handled, never vanish) |
 //! | L7 | library crates | direct `println!` / `eprintln!` output (observability goes through `prox-obs` sinks so traces stay deterministic and machine-readable) |
@@ -36,7 +36,7 @@
 //! | L9 | public APIs of `crates/algos` + `crates/bounds` (graph) | reaching `Oracle::call`/`call_pair` (or their `try_` forms) through any call chain that does not pass a `DistanceResolver` method — see [`oracle_exposure`] |
 //! | L10 | library crates | `HashMap`/`HashSet` (unpinned iteration order; use `BTreeMap`/`BTreeSet` so determinism invariants I5/I8/I9 hold by construction) |
 //! | L11 | everywhere except `crates/bench` | `Instant::now`/`SystemTime` (library code runs on virtual time; wall-clock belongs to the bench harness) |
-//! | L12 | library crates (graph) | an infallible `X` that re-implements its fallible twin `try_X` instead of delegating to it (the copies drift apart) |
+//! | L12 | library crates (graph) | an infallible `X` that re-implements its fallible twin — `X_fallible` when the scope has one, else `try_X` — instead of delegating to it (the copies drift apart) |
 //! | L13 | `crates/bounds` (graph) | reaching the unbounded `Dijkstra::run` / `SpLabels::run` from bound-query paths — the query cascade must use the bounded/bidirectional twins; the exact tier funnels through the audited [`L13_ALLOWLIST`] — see [`l13_violations`] |
 //! | L14 | `crates/algos` (graph) | reaching `WeakOracle::probe`/`error_at` through any call chain that does not pass a `CascadeResolver` method — weak answers are untrusted until the cascade's quorum + sandwich audit, so algorithms must never consume them raw — see [`l14_violations`] |
 //! | L15 | library crates | a metrics or span name literal (`inc`/`observe`/`counter`/`histogram*`, `SpanGuard::enter`/`PhaseGuard::enter`/`span`) missing from the central `prox_obs::names` registry — a typo'd counter silently splits one series into two — see [`lint_name_registry`] |
@@ -171,7 +171,7 @@ fn lexical_raw(rel: &str, src: &str) -> Vec<Violation> {
     };
 
     let try_body_lines = if l3 {
-        try_fn_body_lines(&scanned.masked)
+        decision_body_lines(&scanned.masked)
     } else {
         Vec::new()
     };
@@ -213,21 +213,28 @@ fn lexical_raw(rel: &str, src: &str) -> Vec<Violation> {
             push(
                 "L3",
                 line,
-                "raw float comparison inside a `try_*` decision body; compare \
-                 through a `DECISION_EPS`-aware margin (or annotate the audited \
-                 exact case with `lint: allow(L3)`)"
+                "raw float comparison inside a `try_*`/`decide_*` decision body; \
+                 compare through a `DECISION_EPS`-aware margin (or annotate the \
+                 audited exact case with `lint: allow(L3)`)"
                     .to_string(),
             );
         }
         if l4
-            && [".unwrap()", ".expect(", "panic!", "unreachable!"]
-                .iter()
-                .any(|p| code.contains(p))
+            && [
+                ".unwrap()",
+                ".expect(",
+                ".unwrap_err()",
+                ".expect_err(",
+                "panic!",
+                "unreachable!",
+            ]
+            .iter()
+            .any(|p| code.contains(p))
         {
             push(
                 "L4",
                 line,
-                "`unwrap`/`expect`/`panic!` in library code; use the \
+                "`unwrap`/`expect`/`unwrap_err`/`expect_err`/`panic!` in library code; use the \
                  `prox_core::invariant` helpers so violations carry context"
                     .to_string(),
             );
@@ -569,35 +576,39 @@ fn discards_fallible_result(code: &str) -> bool {
     discards_binding || code.contains(".ok()") || code.contains(".unwrap_or")
 }
 
-/// 1-based inclusive line ranges of `fn try_*` bodies in masked source.
-fn try_fn_body_lines(masked: &str) -> Vec<(usize, usize)> {
+/// 1-based inclusive line ranges of the decision bodies L3 audits in
+/// masked source: every `fn try_*` and every verdict-kernel `fn decide_*`.
+fn decision_body_lines(masked: &str) -> Vec<(usize, usize)> {
     let starts = line_starts(masked);
     let bytes = masked.as_bytes();
     let mut ranges = Vec::new();
-    let mut from = 0usize;
-    while let Some(off) = masked[from..].find("fn try_") {
-        let at = from + off;
-        from = at + "fn try_".len();
-        // A signature cannot contain `{`, so the body starts at the first
-        // brace after the `fn` keyword; `;` first means a trait method decl.
-        let mut j = from;
-        let mut open = None;
-        while j < bytes.len() {
-            match bytes[j] {
-                b'{' => {
-                    open = Some(j);
-                    break;
+    for prefix in ["fn try_", "fn decide_"] {
+        let mut from = 0usize;
+        while let Some(off) = masked[from..].find(prefix) {
+            let at = from + off;
+            from = at + prefix.len();
+            // A signature cannot contain `{`, so the body starts at the
+            // first brace after the `fn` keyword; `;` first means a trait
+            // method decl.
+            let mut j = from;
+            let mut open = None;
+            while j < bytes.len() {
+                match bytes[j] {
+                    b'{' => {
+                        open = Some(j);
+                        break;
+                    }
+                    b';' => break,
+                    _ => j += 1,
                 }
-                b';' => break,
-                _ => j += 1,
             }
-        }
-        let Some(open) = open else { continue };
-        if let Some(close) = match_brace(bytes, open) {
-            let lo = crate::lexer::line_of(&starts, open);
-            let hi = crate::lexer::line_of(&starts, close);
-            ranges.push((lo, hi));
-            from = close + 1;
+            let Some(open) = open else { continue };
+            if let Some(close) = match_brace(bytes, open) {
+                let lo = crate::lexer::line_of(&starts, open);
+                let hi = crate::lexer::line_of(&starts, close);
+                ranges.push((lo, hi));
+                from = close + 1;
+            }
         }
     }
     ranges
@@ -824,10 +835,16 @@ fn l9_violations(g: &ItemGraph, allowlist: &[&str]) -> Vec<Violation> {
     out
 }
 
-/// L12 — for every same-scope pair (`X`, `try_X`), `X` must delegate to
-/// `try_X`: either a direct call edge, or a chain through another twin pair
+/// L12 — an infallible `X` must delegate to its fallible twin in the same
+/// scope: `X_fallible` when the scope has one (`resolve` /
+/// `resolve_fallible`, `less` / `less_fallible`), else `try_X`. Delegation
+/// is either a direct call edge, or a chain through another twin pair
 /// (`X -> Y` with `try_X -> try_Y` and `Y` delegating) as in
-/// `kruskal_mst -> kruskal_mst_with -> try_kruskal_mst_with`.
+/// `kruskal_mst -> kruskal_mst_with -> try_kruskal_mst_with`. `X_fallible`
+/// wins over `try_X` because there `try_X` is a bounds-only probe, not the
+/// whole operation, and an `X_fallible` twin must be called directly: a
+/// `less` that calls `try_less` and `resolve` mirrors `less_fallible`'s
+/// calls one for one, which is exactly the copied body L12 exists to stop.
 fn l12_violations(g: &ItemGraph) -> Vec<Violation> {
     // Same-scope twin index over non-test items: scope key -> item id.
     let key = |it: &Item, name: &str| {
@@ -845,13 +862,16 @@ fn l12_violations(g: &ItemGraph) -> Vec<Violation> {
             by_key.entry(key(it, &it.name)).or_insert(it.id);
         }
     }
-    // twin_of[x] = the `try_x` item in x's scope, when both exist.
+    // twin_of[x] = the fallible twin in x's scope, when one exists.
     let mut twin_of: BTreeMap<usize, usize> = BTreeMap::new();
     for it in &g.items {
-        if it.is_test || it.name.starts_with("try_") {
+        if it.is_test || it.name.starts_with("try_") || it.name.ends_with("_fallible") {
             continue;
         }
-        if let Some(&t) = by_key.get(&key(it, &format!("try_{}", it.name))) {
+        let twin = [format!("{}_fallible", it.name), format!("try_{}", it.name)]
+            .into_iter()
+            .find_map(|name| by_key.get(&key(it, &name)).copied());
+        if let Some(t) = twin {
             twin_of.insert(it.id, t);
         }
     }
@@ -868,7 +888,10 @@ fn l12_violations(g: &ItemGraph) -> Vec<Violation> {
         }
         memo.insert((x, t), false); // cycle guard
         let mut r = g.out[x].iter().any(|&e| g.edges[e].to == t);
-        if !r {
+        // A `_fallible` twin admits no chain: `less -> resolve` paired with
+        // `less_fallible -> resolve_fallible` is a re-implementation, not a
+        // wrapper.
+        if !r && g.items[t].name.starts_with("try_") {
             for &ex in &g.out[x] {
                 let y = g.edges[ex].to;
                 let Some(&ty) = twin_of.get(&y) else { continue };
@@ -900,11 +923,11 @@ fn l12_violations(g: &ItemGraph) -> Vec<Violation> {
             file: it.file.clone(),
             line: it.line,
             msg: format!(
-                "`{}` has a fallible twin `try_{}` in the same scope but does \
-                 not delegate to it; wrap the `try_` form (e.g. via \
+                "`{}` has a fallible twin `{}` in the same scope but does \
+                 not delegate to it; wrap the fallible form (e.g. via \
                  `expect_ok`) so the two copies cannot drift",
                 it.path(),
-                it.name
+                g.items[t].name
             ),
             excerpt: it.path(),
         });
@@ -1374,6 +1397,13 @@ mod tests {
     }
 
     #[test]
+    fn l3_covers_verdict_kernel_bodies() {
+        let src = "pub fn decide_value(lb: f64, v: f64) -> Option<bool> {\n    Some(lb < v)\n}\npub fn decide_pair(ux: f64, ly: f64) -> bool {\n    ux < ly - DECISION_EPS\n}\n";
+        let vs = lint_source("crates/bounds/src/resolver.rs", src);
+        assert_eq!(lines(&vs, "L3"), vec![2]);
+    }
+
+    #[test]
     fn l3_respects_allow_annotation_same_line() {
         let src = "fn try_less(&self) -> Option<bool> {\n    Some(lb < ub) // exact by construction; lint: allow(L3)\n}\n";
         assert!(lint_source("crates/bounds/src/x.rs", src).is_empty());
@@ -1383,9 +1413,9 @@ mod tests {
 
     #[test]
     fn l4_flags_unwrap_expect_panic_with_lines() {
-        let src = "fn f() {\n    let a = x.unwrap();\n    let b = y.expect(\"msg\");\n    panic!(\"boom\");\n}\n";
+        let src = "fn f() {\n    let a = x.unwrap();\n    let b = y.expect(\"msg\");\n    panic!(\"boom\");\n    let c = r.unwrap_err();\n    let d = r.expect_err(\"msg\");\n}\n";
         let vs = lint_source("crates/core/src/x.rs", src);
-        assert_eq!(lines(&vs, "L4"), vec![2, 3, 4]);
+        assert_eq!(lines(&vs, "L4"), vec![2, 3, 4, 5, 6]);
     }
 
     #[test]
@@ -2059,6 +2089,40 @@ mod tests {
             "pub fn mst() { mst_with() }\npub fn mst_with() { expect_ok(try_mst_with()) }\npub fn try_mst() { try_mst_with() }\npub fn try_mst_with() {}\nfn expect_ok(x: u32) -> u32 { x }\n",
         )]);
         let g = ItemGraph::build(&chained);
+        let vs = lint_graph(&g, &[], &[], &[]);
+        assert!(vs.iter().all(|v| v.rule != "L12"), "{vs:?}");
+    }
+
+    /// Trait skeleton for the `X` / `X_fallible` twin tests: `less` may
+    /// call the bounds-only `try_less`, but its twin is `less_fallible`.
+    fn resolver_trait(less_body: &str) -> Vec<(String, String)> {
+        fixture(&[(
+            "crates/bounds/src/resolver.rs",
+            &format!(
+                "pub trait DistanceResolver {{\n    fn try_less(&mut self) -> Option<bool>;\n    fn resolve_fallible(&mut self) -> Result<f64, E>;\n    fn resolve(&mut self) -> f64 {{ expect_ok(self.resolve_fallible()) }}\n    fn less_fallible(&mut self) -> Result<bool, E> {{ match self.try_less() {{ Some(b) => Ok(b), None => Ok(self.resolve_fallible()? < 1.0) }} }}\n    fn less(&mut self) -> bool {{ {less_body} }}\n}}\nfn expect_ok(x: u32) -> u32 {{ x }}\n"
+            ),
+        )])
+    }
+
+    #[test]
+    fn l12_flags_an_infallible_method_that_reimplements_its_fallible_twin() {
+        // `less` calls `try_less`, which used to satisfy L12, but it
+        // re-implements `less_fallible`'s oracle fallback.
+        let g = ItemGraph::build(&resolver_trait(
+            "match self.try_less() { Some(b) => b, None => self.resolve() < 1.0 }",
+        ));
+        let vs = lint_graph(&g, &[], &[], &[]);
+        let l12: Vec<&Violation> = vs.iter().filter(|v| v.rule == "L12").collect();
+        assert_eq!(l12.len(), 1, "{vs:?}");
+        assert_eq!(l12[0].line, 6);
+        assert!(
+            l12[0].msg.contains("DistanceResolver::less`"),
+            "{}",
+            l12[0].msg
+        );
+        assert!(l12[0].msg.contains("`less_fallible`"), "{}", l12[0].msg);
+        // Delegating to the `_fallible` twin passes, and so does `resolve`.
+        let g = ItemGraph::build(&resolver_trait("expect_ok(self.less_fallible())"));
         let vs = lint_graph(&g, &[], &[], &[]);
         assert!(vs.iter().all(|v| v.rule != "L12"), "{vs:?}");
     }
