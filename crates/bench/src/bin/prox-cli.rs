@@ -13,8 +13,12 @@
 //! saves the (possibly grown) set afterwards — the workflow for oracles
 //! billed per call. The cache covers the algorithm phase; landmark
 //! bootstraps still call the oracle (use `--plug tri-nb` with a warm cache
-//! for fully call-free reruns). A cache is only valid for the same
-//! `--dataset`, `--n`, and `--seed`.
+//! for fully call-free reruns). A cache is a checkpoint file (DESIGN.md
+//! §9): saved atomically and fsynced with CRC markers and a manifest, and
+//! refused on load when torn or when its manifest names another
+//! `--dataset`, `--n`, or `--seed`. `--cache`, `--checkpoint`, and
+//! `--resume` share one reader and one writer; caches written before the
+//! checkpoint format (plain `lo,hi,distance` lines) still load.
 //!
 //! Fault tolerance (DESIGN.md §9): `--faults RATE[:SEED]` injects
 //! deterministic transient faults, `--retry N[:BASE_MS]` retries them with
@@ -37,7 +41,8 @@
 //! detection mode — accepted values are checked against the certified
 //! bound sandwich and escalated to a vote only on a proven
 //! inconsistency. `--lenient-load` salvages the verified prefix of a
-//! damaged `--cache`/`--resume` file instead of refusing it:
+//! damaged `--cache`/`--resume` file instead of refusing it, naming
+//! every dropped line:
 //!
 //! ```text
 //! prox-cli prim --dataset sf --n 300 --plug tri --corrupt 0.05 --vote 3
@@ -86,9 +91,8 @@ use prox_bench::runner::{
 };
 use prox_bench::CheckpointingResolver;
 use prox_core::{
-    load_known, load_known_lenient, read_checkpoint_file, read_checkpoint_file_lenient, save_known,
-    write_checkpoint_file, CallBudget, CorruptionInjector, FaultInjector, Metric, OracleError,
-    Pair, RetryPolicy,
+    read_checkpoint_file, read_checkpoint_file_lenient, write_checkpoint_file, CallBudget,
+    CorruptionInjector, FaultInjector, Metric, OracleError, Pair, RetryPolicy,
 };
 use prox_datasets::by_name;
 use prox_obs::{
@@ -751,6 +755,83 @@ fn serve(args: &ServeArgs) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// Reads the certified distances of a `--cache` or `--resume` file
+/// through the checkpoint reader — strictly, or salvaging what verifies
+/// under `--lenient-load` — and refuses a file whose manifest names a
+/// different dataset, `n`, or seed. A missing file starts cold when
+/// `missing_ok`. `None` means the run must not start; the reason has
+/// been printed under `[tag]`.
+fn load_distances(
+    tag: &str,
+    path: &str,
+    args: &Args,
+    missing_ok: bool,
+) -> Option<Vec<(Pair, f64)>> {
+    let file = std::path::Path::new(path);
+    let loaded = if args.lenient_load {
+        read_checkpoint_file_lenient(file).map(|rec| {
+            for reason in &rec.reasons {
+                eprintln!("[{tag}] {path}: {reason}");
+            }
+            (
+                rec.checkpoint,
+                format!(" ({} line(s) dropped)", rec.dropped_lines),
+            )
+        })
+    } else {
+        read_checkpoint_file(file).map(|ckpt| (ckpt, String::new()))
+    };
+    let (ckpt, dropped) = match loaded {
+        Ok(loaded) => loaded,
+        Err(e) if missing_ok && e.kind() == std::io::ErrorKind::NotFound => {
+            eprintln!("[{tag}] {path} not found; starting cold");
+            return Some(Vec::new());
+        }
+        Err(e) => {
+            let hint = if args.lenient_load {
+                ""
+            } else {
+                " (use --lenient-load to salvage the verified prefix)"
+            };
+            eprintln!("[{tag}] {path}: {e}{hint}");
+            return None;
+        }
+    };
+    for (key, want) in [
+        ("dataset", args.dataset.clone()),
+        ("n", args.n.to_string()),
+        ("seed", args.seed.to_string()),
+    ] {
+        if let Some(have) = ckpt.manifest_value(key) {
+            if have != want {
+                eprintln!(
+                    "[{tag}] {path}: file has {key}={have} but this run has \
+                     {key}={want}; refusing to mix problems"
+                );
+                return None;
+            }
+        }
+    }
+    eprintln!(
+        "[{tag}] loaded {} resolved distances from {path}{dropped}",
+        ckpt.known.len()
+    );
+    Some(ckpt.known)
+}
+
+/// Writes `resolved` to `path` as an atomic, fsynced checkpoint file
+/// stamped with the run's `manifest` (`--cache` and `--checkpoint`).
+fn save_distances(tag: &str, path: &str, manifest: &[(String, String)], resolved: &[(Pair, f64)]) {
+    match write_checkpoint_file(
+        std::path::Path::new(path),
+        manifest,
+        resolved.iter().copied(),
+    ) {
+        Ok(count) => eprintln!("[{tag}] saved {count} resolved distances to {path}"),
+        Err(e) => eprintln!("[{tag}] write {path}: {e}"),
+    }
+}
+
 fn main() -> ExitCode {
     match std::env::args().nth(1).as_deref() {
         Some("serve") => {
@@ -847,97 +928,17 @@ fn main() -> ExitCode {
         });
     }
 
-    // Pre-load a resolved-distance cache, if any. Under `--lenient-load`
-    // a partially corrupted cache still contributes its clean lines
-    // (each dropped line reported with its line number) instead of
-    // aborting the run.
-    let mut preload: Vec<(Pair, f64)> = match &args.cache {
-        Some(path) => match std::fs::File::open(path) {
-            Ok(f) if args.lenient_load => match load_known_lenient(std::io::BufReader::new(f)) {
-                Ok(report) => {
-                    for err in &report.errors {
-                        eprintln!("[cache] {path}: {err}");
-                    }
-                    eprintln!(
-                        "[cache] loaded {} resolved distances from {path} ({} line(s) dropped)",
-                        report.loaded.len(),
-                        report.skipped
-                    );
-                    report.loaded
-                }
-                Err(e) => {
-                    eprintln!("[cache] {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            Ok(f) => match load_known(std::io::BufReader::new(f)) {
-                Ok(edges) => {
-                    eprintln!(
-                        "[cache] loaded {} resolved distances from {path}",
-                        edges.len()
-                    );
-                    edges
-                }
-                Err(e) => {
-                    eprintln!("[cache] {path}: {e} (use --lenient-load to salvage)");
-                    return ExitCode::FAILURE;
-                }
-            },
-            Err(_) => {
-                eprintln!("[cache] {path} not found; starting cold");
-                Vec::new()
-            }
-        },
-        None => Vec::new(),
-    };
-
-    // A checkpoint from a budget-killed (or completed) earlier run: its
-    // manifest must describe the same problem, its pairs preload for free.
-    if let Some(path) = &args.resume {
-        let loaded = if args.lenient_load {
-            read_checkpoint_file_lenient(std::path::Path::new(path)).map(|rec| {
-                if rec.recovered {
-                    eprintln!(
-                        "[resume] {path}: salvaged verified prefix, {} damaged line(s) dropped",
-                        rec.dropped_lines
-                    );
-                }
-                rec.checkpoint
-            })
-        } else {
-            read_checkpoint_file(std::path::Path::new(path))
-        };
-        match loaded {
-            Ok(ckpt) => {
-                for (key, want) in [
-                    ("dataset", args.dataset.as_str()),
-                    ("n", &args.n.to_string()),
-                    ("seed", &args.seed.to_string()),
-                ] {
-                    if let Some(have) = ckpt.manifest_value(key) {
-                        if have != want {
-                            eprintln!(
-                                "[resume] {path}: checkpoint {key}={have} but this run has \
-                                 {key}={want}; refusing to mix problems"
-                            );
-                            return ExitCode::FAILURE;
-                        }
-                    }
-                }
-                eprintln!(
-                    "[resume] loaded {} resolved distances from {path}",
-                    ckpt.known.len()
-                );
-                preload.extend(ckpt.known);
-            }
-            Err(e) => {
-                let hint = if args.lenient_load {
-                    ""
-                } else {
-                    " (use --lenient-load to salvage the verified prefix)"
-                };
-                eprintln!("[resume] {path}: {e}{hint}");
-                return ExitCode::FAILURE;
+    // Certified distances from earlier runs preload for free: a `--cache`
+    // that does not exist yet starts cold, a `--resume` file must exist.
+    let mut preload = Vec::new();
+    for (tag, path, missing_ok) in [
+        ("cache", &args.cache, true),
+        ("resume", &args.resume, false),
+    ] {
+        if let Some(path) = path {
+            match load_distances(tag, path, &args, missing_ok) {
+                Some(known) => preload.extend(known),
+                None => return ExitCode::FAILURE,
             }
         }
     }
@@ -1119,23 +1120,13 @@ fn main() -> ExitCode {
     // println, and the cache/checkpoint must survive that. The export runs
     // even when the algorithm aborted on a fault — that is the whole point
     // of resume.
-    if let Some(path) = &args.cache {
-        match std::fs::File::create(path) {
-            Ok(f) => match save_known(std::io::BufWriter::new(f), resolved.iter().copied()) {
-                Ok(count) => eprintln!("[cache] saved {count} resolved distances to {path}"),
-                Err(e) => eprintln!("[cache] write {path}: {e}"),
-            },
-            Err(e) => eprintln!("[cache] create {path}: {e}"),
-        }
-    }
-    if let Some((path, _)) = &args.checkpoint {
-        match write_checkpoint_file(
-            std::path::Path::new(path),
-            &manifest,
-            resolved.iter().copied(),
-        ) {
-            Ok(count) => eprintln!("[checkpoint] saved {count} resolved distances to {path}"),
-            Err(e) => eprintln!("[checkpoint] write {path}: {e}"),
+    let saves = [
+        ("cache", args.cache.as_ref()),
+        ("checkpoint", args.checkpoint.as_ref().map(|(path, _)| path)),
+    ];
+    for (tag, path) in saves {
+        if let Some(path) = path {
+            save_distances(tag, path, &manifest, &resolved);
         }
     }
     if let Some(path) = &args.ledger {

@@ -1,60 +1,69 @@
 //! A [`DistanceResolver`] wrapper that checkpoints resolved distances.
 //!
 //! [`CheckpointingResolver`] forwards every call to the wrapped resolver
-//! and, after each successful resolution, asks its
-//! [`prox_core::Checkpointer`] whether a snapshot is due (every `every`
-//! newly resolved pairs). Snapshots are full [`prox_core::checkpoint`]
-//! files — a `#!` manifest plus the resolver's entire certified-distance
-//! set — written atomically, so a run killed at any point (including by a
-//! [`prox_core::CallBudget`]) leaves a valid resume file behind.
+//! and, after each successful resolution, snapshots once `every` *new*
+//! resolutions have accrued since the last snapshot. Knowledge present
+//! before wrapping (preloads, landmark bootstraps) starts the count and
+//! does not trigger a snapshot. Snapshots are full
+//! [`prox_core::checkpoint`] files — a `#!` manifest plus the resolver's
+//! entire certified-distance set — written atomically and fsynced by
+//! [`prox_core::write_checkpoint_file`], so a run killed at any point
+//! (including by a [`prox_core::CallBudget`]) leaves a valid resume file
+//! behind.
 //!
-//! Resuming is the ordinary cache-preload workflow: the checkpoint file is
-//! a valid `prox_core::persist` cache, so feeding it back through
-//! `--resume` (or [`prox_core::load_checkpoint`]) preloads every resolved
-//! pair, and the re-run pays the oracle only for pairs the killed run
+//! Resuming reads that file back through
+//! [`prox_core::read_checkpoint_file`] — the same reader `prox-cli`
+//! uses for `--cache` and `--resume` — and preloads every resolved
+//! pair, so the re-run pays the oracle only for pairs the killed run
 //! never resolved.
 
+use std::path::PathBuf;
+
 use prox_bounds::DistanceResolver;
-use prox_core::{Checkpointer, OracleError, Pair, PruneStats, SpecBounds};
+use prox_core::{write_checkpoint_file, OracleError, Pair, PruneStats, SpecBounds};
 
 /// Wraps a resolver with periodic checkpointing (see module docs).
 pub struct CheckpointingResolver<'a> {
     inner: &'a mut dyn DistanceResolver,
-    ckpt: Checkpointer,
+    path: PathBuf,
     manifest: Vec<(String, String)>,
+    /// New resolutions between snapshots (at least 1).
+    every: u64,
+    /// Resolution count at the last snapshot (or at wrapping).
+    last_saved: u64,
+    saves: u64,
     /// IO errors from snapshot writes (reported, never fatal: a failed
     /// snapshot must not kill the run it exists to protect).
     io_errors: u64,
 }
 
 impl<'a> CheckpointingResolver<'a> {
-    /// Wraps `inner`, snapshotting to `path` every `every` resolutions.
-    /// `manifest` key/value pairs are embedded in every snapshot.
+    /// Wraps `inner`, snapshotting to `path` every `every` new
+    /// resolutions (`every` is clamped to at least 1). `manifest`
+    /// key/value pairs are embedded in every snapshot.
     pub fn new(
         inner: &'a mut dyn DistanceResolver,
-        path: impl Into<std::path::PathBuf>,
+        path: impl Into<PathBuf>,
         every: u64,
         manifest: Vec<(String, String)>,
     ) -> Self {
-        let resolved = inner.prune_stats().resolved;
-        let mut ckpt = Checkpointer::new(path, every);
-        // Preloaded/bootstrap knowledge present before wrapping is not new
-        // progress; start the cadence from the current resolution count.
-        ckpt.mark_saved(resolved);
+        let last_saved = inner.prune_stats().resolved;
         CheckpointingResolver {
             inner,
-            ckpt,
+            path: path.into(),
             manifest,
+            every: every.max(1),
+            last_saved,
+            saves: 0,
             io_errors: 0,
         }
     }
 
     fn snapshot_if_due(&mut self) {
         let resolved = self.inner.prune_stats().resolved;
-        if !self.ckpt.due(resolved) {
-            return;
+        if resolved >= self.last_saved.saturating_add(self.every) {
+            self.force_snapshot();
         }
-        self.force_snapshot();
     }
 
     /// Writes a snapshot now, regardless of cadence. Called on the periodic
@@ -63,8 +72,10 @@ impl<'a> CheckpointingResolver<'a> {
         let resolved = self.inner.prune_stats().resolved;
         let mut edges = Vec::new();
         self.inner.export_known(&mut edges);
-        match self.ckpt.save_now(resolved, &self.manifest, edges) {
+        match write_checkpoint_file(&self.path, &self.manifest, edges) {
             Ok(_) => {
+                self.last_saved = resolved;
+                self.saves += 1;
                 prox_obs::emit_to(
                     self.inner.trace_sink().as_ref(),
                     prox_obs::TraceEvent::CheckpointWrite { resolved },
@@ -72,14 +83,14 @@ impl<'a> CheckpointingResolver<'a> {
             }
             Err(e) => {
                 self.io_errors += 1;
-                eprintln!("[checkpoint] write {}: {e}", self.ckpt.path().display());
+                eprintln!("[checkpoint] write {}: {e}", self.path.display());
             }
         }
     }
 
     /// Snapshots written so far.
     pub fn saves(&self) -> u64 {
-        self.ckpt.saves()
+        self.saves
     }
 
     /// Snapshot writes that failed with an IO error.
@@ -206,6 +217,29 @@ mod tests {
         let mst2 = prim_mst(&mut replay);
         assert_eq!(oracle2.calls(), 0, "fully warm resume re-pays nothing");
         assert_eq!(mst2.edge_keys(), mst.edge_keys());
+
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn snapshots_honour_cadence() {
+        let dir = std::env::temp_dir().join(format!("prox-ckpt-test3-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join("snap.ckpt");
+
+        let oracle = line_oracle(10);
+        let mut base = BoundResolver::vanilla(&oracle);
+        let mut r = CheckpointingResolver::new(&mut base, &path, 10, Vec::new());
+        let pairs: Vec<Pair> = Pair::all(10).collect();
+        let mut saves_at = Vec::new();
+        for (i, &p) in pairs[..20].iter().enumerate() {
+            r.resolve(p);
+            saves_at.push((i + 1, r.saves()));
+        }
+        for (resolved, saves) in [(5, 0), (10, 1), (15, 1), (20, 2)] {
+            assert_eq!(saves_at[resolved - 1], (resolved, saves));
+        }
+        assert_eq!(read_checkpoint_file(&path).expect("read").known.len(), 20);
 
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -215,7 +215,7 @@ pub type CachedRun<T> = (T, RunResult, Vec<(prox_core::Pair, f64)>);
 /// [`run_plugged`] with a persisted-knowledge workflow: `preload` is
 /// injected into the resolver before the algorithm starts (no oracle
 /// calls), and when `export` is set the resolver's full certified-distance
-/// set is returned for saving (see `prox_core::persist`).
+/// set is returned for saving (see `prox_core::checkpoint`).
 pub fn run_plugged_cached<T>(
     plug: Plug,
     metric: &(dyn Metric + Send + Sync),

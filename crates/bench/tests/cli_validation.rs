@@ -410,3 +410,68 @@ fn lenient_load_salvages_a_damaged_cache() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A cache torn inside its last distance, where the cut text still
+/// parses as a number, must be refused by a strict load — the torn value
+/// is not the certified one — and salvaged by a lenient load without
+/// changing the output.
+#[test]
+fn torn_cache_is_refused_strictly_and_salvaged_exactly() {
+    let dir = std::env::temp_dir().join(format!("prox-cli-torn-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let cache = dir.join("dists.ckpt");
+    let cache_str = cache.to_str().expect("utf8 path");
+    let base = &[
+        "prim",
+        "--dataset",
+        "sf",
+        "--n",
+        "30",
+        "--plug",
+        "tri-nb",
+        "--cache",
+        cache_str,
+    ];
+    let (ok, stdout, stderr) = run(base);
+    assert!(ok, "cache-building run failed: {stderr}");
+    let weight = stdout
+        .lines()
+        .find(|l| l.starts_with("MST weight"))
+        .expect("clean run prints its MST weight")
+        .to_string();
+
+    // Cut the last data line three characters into its distance, e.g.
+    // `12,19,6.99412795152203060e-3` -> `12,19,6.9`.
+    let text = std::fs::read_to_string(&cache).expect("read cache");
+    let last = text
+        .lines()
+        .rfind(|l| !l.starts_with('#') && !l.trim().is_empty())
+        .expect("a data line");
+    let line_start = text.rfind(last).expect("line offset");
+    let dist_start = line_start + last.rfind(',').expect("distance field") + 1;
+    let torn = &text[..dist_start + 3];
+    let torn_dist = &torn[dist_start..];
+    assert!(
+        torn_dist.parse::<f64>().is_ok(),
+        "the torn distance {torn_dist:?} must still parse as a number"
+    );
+    std::fs::write(&cache, torn).expect("tear cache");
+
+    let (ok, _, stderr) = run(base);
+    assert!(!ok, "strict load must refuse a torn cache: {stderr}");
+    assert!(
+        stderr.contains("use --lenient-load to salvage"),
+        "stderr: {stderr}"
+    );
+
+    let mut lenient = base.to_vec();
+    lenient.push("--lenient-load");
+    let (ok, stdout, stderr) = run(&lenient);
+    assert!(ok, "lenient run failed: {stderr}");
+    assert!(
+        stdout.contains(&weight),
+        "salvaged run must print the clean {weight:?}, got {stdout}"
+    );
+
+    std::fs::remove_dir_all(&dir).ok();
+}

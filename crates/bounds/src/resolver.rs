@@ -252,7 +252,7 @@ pub trait DistanceResolver {
     fn bounds_hint(&mut self, x: Pair) -> (f64, f64);
 
     /// Injects externally-known distances (a persisted cache from an
-    /// earlier run — see `prox_core::persist`) without touching the oracle.
+    /// earlier run — see `prox_core::checkpoint`) without touching the oracle.
     fn preload(&mut self, p: Pair, d: f64);
 
     /// Installs a value adopted from a weak-replica quorum (see

@@ -127,7 +127,7 @@ pub trait BoundScheme {
     fn name(&self) -> &'static str;
 
     /// Visits every pair whose exact distance the scheme can certify —
-    /// the payload of a resolved-distance cache (see `prox_core::persist`).
+    /// the payload of a resolved-distance cache (see `prox_core::checkpoint`).
     /// Schemes may legitimately report *more* pairs than were recorded
     /// (ADM's matrices can collapse a pair's bounds by inference; an
     /// inferred exact value is still the true distance).

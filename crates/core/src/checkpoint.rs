@@ -1,42 +1,47 @@
-//! Checkpoint/resume for long oracle runs.
+//! The one on-disk format for certified distances.
 //!
-//! A budget-killed or crashed run must never re-pay for distances it
-//! already resolved. This module layers a *resume manifest* on top of the
-//! [`crate::persist`] line format: a checkpoint file is a normal
-//! resolved-distance cache (readable by [`crate::load_known`]) whose
-//! `#! key=value` comment lines record what the run was (`algo`,
-//! `dataset`, `n`, `seed`, …) so a resume can refuse a mismatched file
-//! instead of silently poisoning its bound scheme.
+//! A billed oracle makes every resolved distance money, and a wrong one
+//! poisons every later bound. Everything that writes or reads certified
+//! distances — `prox-cli --cache`, `--checkpoint` / `--resume`, and
+//! every segment of the serving layer's write-ahead log — goes through
+//! [`write_checkpoint_file`] and [`read_checkpoint_file`] /
+//! [`read_checkpoint_file_lenient`]. A checkpoint is plain text: one
+//! `lo,hi,distance` data line per resolved pair, `#` comment lines, and
+//! `#! key=value` manifest lines that record what the run was
+//! (`dataset`, `n`, `seed`, …) so a reader can refuse a file that
+//! describes another problem instead of silently poisoning its bound
+//! scheme.
 //!
 //! # Integrity (format v2)
 //!
-//! Since a checkpoint is the only durable state a resume *trusts*, v2
-//! files are self-verifying: the first line is `#! ckpt_version=2`, a
+//! Files are self-verifying: the first line is `#! ckpt_version=2`, a
 //! rolling `#! crc32_upto=<hex>` marker (CRC-32 of every file byte
 //! before the marker line) lands after each block of
 //! [`CRC_BLOCK_LINES`] data lines, and the file ends with a
-//! `#! crc32=<hex>` trailer over everything before it. Strict loading
-//! ([`load_checkpoint`]) rejects any v2 file whose trailer fails;
-//! lenient loading ([`load_checkpoint_lenient`]) recovers the longest
-//! prefix ending at a verifying marker — so a torn write or a
-//! bit-flipped tail costs at most one block of resolved pairs, never
-//! the whole file. The marker lines are `#` comments, so v2 files stay
-//! plain caches to [`crate::load_known`], and v1 files (no version
-//! line) still load exactly as before.
+//! `#! crc32=<hex>` trailer over everything before it. The CRC is
+//! checked over raw bytes and only the verified prefix is decoded, so
+//! damage of any kind — a torn write, a flipped bit, a byte that is no
+//! longer UTF-8 — costs a lenient recovery at most one block of
+//! resolved pairs. Strict loading ([`load_checkpoint`]) is lenient
+//! loading that refuses on the first dropped line.
+//!
+//! Files without a version line are v1: the same data lines with no
+//! integrity metadata (the format older `--cache` files were written
+//! in). They still load, line by line, and a lenient load reports every
+//! dropped line with its number and reason.
 //!
 //! Files are written atomically *and durably*: the bytes land in a
 //! sibling temp file which is fsynced before the same-directory rename,
 //! and the directory entry is fsynced after it — a crash at any point
-//! leaves either the previous checkpoint or the complete new one.
-//! [`Checkpointer`] adds the cadence policy — snapshot every `every`
-//! newly resolved pairs.
+//! leaves either the previous file or the complete new one.
 
+use std::collections::BTreeMap;
 use std::fs;
 use std::io::{self, BufRead, Write};
 use std::path::{Path, PathBuf};
 
 use crate::crc::Crc32;
-use crate::{load_known, Pair};
+use crate::Pair;
 
 /// Data lines per rolling CRC marker in a v2 checkpoint: the most a
 /// torn tail can cost a lenient recovery.
@@ -51,8 +56,8 @@ const RESERVED_KEYS: [&str; 3] = ["ckpt_version", "crc32", "crc32_upto"];
 pub struct Checkpoint {
     /// `key=value` manifest entries, in file order.
     pub manifest: Vec<(String, String)>,
-    /// The resolved distances, exactly as [`crate::load_known`] returns
-    /// them.
+    /// The resolved distances in file order, pairs canonical and
+    /// bit-identical repeats removed.
     pub known: Vec<(Pair, f64)>,
 }
 
@@ -67,9 +72,8 @@ impl Checkpoint {
 }
 
 /// Writes a v2 checkpoint: the version line, manifest comment lines,
-/// then the standard resolved-distance cache format with rolling CRC
-/// markers and a whole-file CRC trailer. Returns the number of edges
-/// written.
+/// then one data line per edge with rolling CRC markers and a
+/// whole-file CRC trailer. Returns the number of edges written.
 ///
 /// Manifest keys and values must not contain newlines or `=` in the
 /// key, and may not shadow the format's reserved keys (`ckpt_version`,
@@ -107,8 +111,7 @@ pub fn save_checkpoint<W: Write>(
     writeln!(buf, "# prox resolved-distance cache v1")?;
     let mut count = 0usize;
     for (p, d) in edges {
-        // 17 significant digits round-trip any f64 exactly (the same
-        // rule as `persist::save_known`).
+        // 17 significant digits round-trip any f64 exactly.
         writeln!(buf, "{},{},{:.17e}", p.lo(), p.hi(), d)?;
         count += 1;
         if count.is_multiple_of(CRC_BLOCK_LINES) {
@@ -121,6 +124,76 @@ pub fn save_checkpoint<W: Write>(
     writeln!(buf, "#! crc32={:08x}", digest.value())?;
     w.write_all(&buf)?;
     Ok(count)
+}
+
+/// Parses one non-comment data line into a canonical edge, or explains
+/// (without line context) why it cannot be trusted.
+fn parse_line(trimmed: &str) -> Result<(Pair, f64), &'static str> {
+    let mut parts = trimmed.split(',');
+    let a: u32 = parts
+        .next()
+        .and_then(|s| s.trim().parse().ok())
+        .ok_or("bad first id")?;
+    let b: u32 = parts
+        .next()
+        .and_then(|s| s.trim().parse().ok())
+        .ok_or("bad second id")?;
+    let d: f64 = parts
+        .next()
+        .and_then(|s| s.trim().parse().ok())
+        .ok_or("bad distance")?;
+    if parts.next().is_some() {
+        return Err("trailing fields");
+    }
+    if a == b {
+        return Err("self-loop");
+    }
+    if !d.is_finite() || d < 0.0 {
+        return Err("distance must be finite and non-negative");
+    }
+    Ok((Pair::new(a, b), d))
+}
+
+/// The data lines of `text`: the edges that parse, in order, plus one
+/// `line N: reason: "text"` entry per dropped line. Bit-identical
+/// repeats are removed silently; on a conflicting repeat the first copy
+/// is kept (a torn append or merge introduced the later one) and the
+/// repeat is dropped — trusting either copy blindly could poison every
+/// downstream bound. Every writer ends each line with a newline, so a
+/// last line without one was cut short by a torn write and is dropped
+/// even when what is left still parses (`5` from `5.15e-3`).
+fn parse_data(text: &str) -> (Vec<(Pair, f64)>, Vec<String>) {
+    let torn = if text.ends_with('\n') {
+        0
+    } else {
+        text.lines().count()
+    };
+    let mut known = Vec::new();
+    let mut dropped = Vec::new();
+    let mut seen: BTreeMap<u64, f64> = BTreeMap::new();
+    for (lineno, line) in text.lines().enumerate() {
+        let trimmed = line.trim();
+        let fresh = if lineno + 1 == torn && !trimmed.is_empty() {
+            Err("unterminated last line (torn write)")
+        } else if trimmed.is_empty() || trimmed.starts_with('#') {
+            continue;
+        } else {
+            parse_line(trimmed).and_then(|(p, d)| match seen.get(&p.key()) {
+                Some(prev) if prev.to_bits() == d.to_bits() => Ok(None),
+                Some(_) => Err("conflicting duplicate pair"),
+                None => Ok(Some((p, d))),
+            })
+        };
+        match fresh {
+            Ok(Some((p, d))) => {
+                seen.insert(p.key(), d);
+                known.push((p, d));
+            }
+            Ok(None) => {}
+            Err(msg) => dropped.push(format!("line {}: {msg}: {trimmed:?}", lineno + 1)),
+        }
+    }
+    (known, dropped)
 }
 
 /// `#! key=value` manifest entries of `text`, reserved keys excluded.
@@ -139,24 +212,34 @@ fn parse_manifest(text: &str) -> Vec<(String, String)> {
     manifest
 }
 
-/// The declared `ckpt_version` of `text`, if any (v1 files have none).
-fn declared_version(text: &str) -> io::Result<Option<u32>> {
+/// Whether `text` is a v2 file: it declares `ckpt_version=2` (any
+/// other declared version is an error), or it declares none but carries
+/// a CRC marker — a v2 file whose version line was damaged, which must
+/// be verified rather than trusted line by line as v1.
+fn is_v2(text: &str) -> io::Result<bool> {
+    let mut marked = false;
     for line in text.lines() {
         if let Some(rest) = line.trim().strip_prefix("#!") {
             if let Some((k, v)) = rest.split_once('=') {
-                if k.trim() == "ckpt_version" {
-                    return match v.trim().parse::<u32>() {
-                        Ok(2) => Ok(Some(2)),
-                        _ => Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!("unsupported checkpoint version {:?}", v.trim()),
-                        )),
-                    };
+                match k.trim() {
+                    "ckpt_version" if v.trim() == "2" => return Ok(true),
+                    "ckpt_version" => {
+                        return Err(invalid(format!(
+                            "unsupported checkpoint version {:?}",
+                            v.trim()
+                        )))
+                    }
+                    "crc32" | "crc32_upto" => marked = true,
+                    _ => {}
                 }
             }
         }
     }
-    Ok(None)
+    Ok(marked)
+}
+
+fn invalid(msg: impl Into<String>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
 /// What lenient checkpoint recovery salvaged.
@@ -166,103 +249,118 @@ pub struct CheckpointRecovery {
     /// files, parseable) portion of the file.
     pub checkpoint: Checkpoint,
     /// Non-empty lines dropped after the trusted prefix (v2) or data
-    /// lines skipped as malformed (v1).
+    /// lines dropped as malformed or conflicting (v1).
     pub dropped_lines: usize,
     /// Whether anything had to be dropped — `false` means the file
     /// verified (or parsed) end to end.
     pub recovered: bool,
+    /// Why lines were dropped, each entry starting `line N:` — one per
+    /// dropped v1 data line, or one for a v2 file's unverified tail.
+    /// Empty exactly when `recovered` is `false`.
+    pub reasons: Vec<String>,
 }
 
-/// The byte length of the longest prefix of `text` that a CRC marker
+/// The byte length of the longest prefix of `bytes` that a CRC marker
 /// verifies, plus the offset just past that marker line and whether it
-/// was the whole-file trailer.
-fn verified_prefix(text: &str) -> Option<(usize, usize, bool)> {
+/// was the whole-file trailer. Works on raw bytes: damage that is no
+/// longer UTF-8 fails the CRC like any other.
+fn verified_prefix(bytes: &[u8]) -> Option<(usize, usize, bool)> {
     let mut digest = Crc32::new();
     let mut offset = 0usize;
     let mut best: Option<(usize, usize, bool)> = None;
-    for seg in text.split_inclusive('\n') {
-        let t = seg.trim();
+    for seg in bytes.split_inclusive(|&b| b == b'\n') {
+        let t = seg.trim_ascii();
         let marker = t
-            .strip_prefix("#! crc32_upto=")
+            .strip_prefix(b"#! crc32_upto=")
             .map(|h| (h, false))
-            .or_else(|| t.strip_prefix("#! crc32=").map(|h| (h, true)));
+            .or_else(|| t.strip_prefix(b"#! crc32=").map(|h| (h, true)));
         if let Some((hex, is_trailer)) = marker {
-            if u32::from_str_radix(hex.trim(), 16).ok() == Some(digest.value()) {
+            let value = std::str::from_utf8(hex)
+                .ok()
+                .and_then(|h| u32::from_str_radix(h.trim(), 16).ok());
+            if value == Some(digest.value()) {
                 best = Some((offset, offset + seg.len(), is_trailer));
             }
         }
-        digest.update(seg.as_bytes());
+        digest.update(seg);
         offset += seg.len();
     }
     best
 }
 
-fn load_checkpoint_text_lenient(text: &str) -> io::Result<CheckpointRecovery> {
-    if declared_version(text)?.is_none() {
-        // v1: no integrity metadata to verify; salvage what parses.
-        let report = crate::persist::load_known_lenient(text.as_bytes())?;
-        let recovered = report.skipped > 0;
+fn recover_bytes(bytes: &[u8]) -> io::Result<CheckpointRecovery> {
+    let text = String::from_utf8_lossy(bytes);
+    if !is_v2(&text)? {
+        // v1: no integrity metadata to verify; salvage what parses. No
+        // writer leaves an empty file, so an empty one is torn too.
+        let (known, mut reasons) = parse_data(&text);
+        let dropped_lines = reasons.len();
+        if text.is_empty() {
+            reasons.push("line 1: empty file (torn write)".to_string());
+        }
         return Ok(CheckpointRecovery {
             checkpoint: Checkpoint {
-                manifest: parse_manifest(text),
-                known: report.loaded,
+                manifest: parse_manifest(&text),
+                known,
             },
-            dropped_lines: report.skipped,
-            recovered,
+            dropped_lines,
+            recovered: !reasons.is_empty(),
+            reasons,
         });
     }
-    let Some((trusted, after_marker, is_trailer)) = verified_prefix(text) else {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
+    let Some((trusted, after_marker, is_trailer)) = verified_prefix(bytes) else {
+        return Err(invalid(
             "checkpoint has no CRC-verifiable prefix; refusing to trust any of it",
         ));
     };
-    let prefix = &text[..trusted];
-    let tail = &text[after_marker..];
-    let dropped_lines = tail.lines().filter(|l| !l.trim().is_empty()).count();
-    let recovered = !(is_trailer && dropped_lines == 0);
-    // The verified prefix is bit-exact what the writer produced, so the
-    // strict parser must accept it.
-    let known = load_known(prefix.as_bytes())?;
+    // The verified prefix is bit-exact what the writer produced: ASCII
+    // data lines that parse without a single drop.
+    let prefix = std::str::from_utf8(&bytes[..trusted])
+        .map_err(|_| invalid("CRC-verified prefix is not UTF-8"))?;
+    let (known, bad) = parse_data(prefix);
+    if let Some(first) = bad.into_iter().next() {
+        return Err(invalid(first));
+    }
+    let tail = &bytes[after_marker..];
+    let dropped_lines = tail
+        .split(|&b| b == b'\n')
+        .filter(|l| !l.trim_ascii().is_empty())
+        .count();
+    let mut reasons = Vec::new();
+    if !(is_trailer && dropped_lines == 0) {
+        let line = bytes[..after_marker]
+            .iter()
+            .filter(|&&b| b == b'\n')
+            .count()
+            + 1;
+        reasons.push(format!(
+            "line {line}: checkpoint failed CRC verification \
+             ({dropped_lines} trailing line(s) unverified)"
+        ));
+    }
     Ok(CheckpointRecovery {
         checkpoint: Checkpoint {
             manifest: parse_manifest(prefix),
             known,
         },
         dropped_lines,
-        recovered,
+        recovered: !reasons.is_empty(),
+        reasons,
     })
 }
 
-/// Reads a checkpoint written by [`save_checkpoint`], verifying v2
-/// integrity metadata strictly: a v2 file whose CRC trailer is missing,
-/// torn, or mismatched is rejected with `InvalidData` (use
-/// [`load_checkpoint_lenient`] to salvage the verified prefix).
-///
-/// Plain v1 caches load too (empty manifest): the manifest lines are
-/// `#` comments, so the two formats are one format.
-pub fn load_checkpoint<R: BufRead>(mut r: R) -> io::Result<Checkpoint> {
-    let mut text = String::new();
-    r.read_to_string(&mut text)?;
-    if declared_version(&text)?.is_none() {
-        let known = load_known(text.as_bytes())?;
-        return Ok(Checkpoint {
-            manifest: parse_manifest(&text),
-            known,
-        });
+/// Reads a checkpoint written by [`save_checkpoint`] strictly: the
+/// lenient load, refused with `InvalidData` on its first dropped line.
+/// A v2 file whose CRC trailer is missing, torn, or mismatched and a v1
+/// file with a malformed or conflicting data line are both rejected,
+/// the message naming the line (use [`load_checkpoint_lenient`] to
+/// salvage the rest).
+pub fn load_checkpoint<R: BufRead>(r: R) -> io::Result<Checkpoint> {
+    let rec = load_checkpoint_lenient(r)?;
+    match rec.reasons.into_iter().next() {
+        Some(first) => Err(invalid(first)),
+        None => Ok(rec.checkpoint),
     }
-    let rec = load_checkpoint_text_lenient(&text)?;
-    if rec.recovered {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!(
-                "checkpoint failed CRC verification ({} trailing line(s) unverified); \
-                 a lenient load can salvage the verified prefix",
-                rec.dropped_lines
-            ),
-        ));
-    }
-    Ok(rec.checkpoint)
 }
 
 /// Lenient twin of [`load_checkpoint`]: recovers the longest
@@ -270,9 +368,9 @@ pub fn load_checkpoint<R: BufRead>(mut r: R) -> io::Result<Checkpoint> {
 /// file) instead of failing on a torn or bit-flipped tail. Errors only
 /// on I/O failure or when *nothing* verifies.
 pub fn load_checkpoint_lenient<R: BufRead>(mut r: R) -> io::Result<CheckpointRecovery> {
-    let mut text = String::new();
-    r.read_to_string(&mut text)?;
-    load_checkpoint_text_lenient(&text)
+    let mut bytes = Vec::new();
+    r.read_to_end(&mut bytes)?;
+    recover_bytes(&bytes)
 }
 
 /// Atomically and durably writes a checkpoint file: the bytes land in a
@@ -324,82 +422,9 @@ pub fn read_checkpoint_file_lenient(path: &Path) -> io::Result<CheckpointRecover
     load_checkpoint_lenient(io::BufReader::new(fs::File::open(path)?))
 }
 
-/// Cadence policy for periodic checkpointing: snapshot once `every`
-/// *new* resolutions have accrued since the last save.
-#[derive(Clone, Debug)]
-pub struct Checkpointer {
-    path: PathBuf,
-    every: u64,
-    last_saved: u64,
-    saves: u64,
-}
-
-impl Checkpointer {
-    /// Checkpoints to `path` every `every` new resolutions (`every` is
-    /// clamped to at least 1).
-    pub fn new(path: impl Into<PathBuf>, every: u64) -> Self {
-        Checkpointer {
-            path: path.into(),
-            every: every.max(1),
-            last_saved: 0,
-            saves: 0,
-        }
-    }
-
-    /// The checkpoint path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Whether `resolved` total resolutions warrant a snapshot.
-    pub fn due(&self, resolved: u64) -> bool {
-        resolved >= self.last_saved.saturating_add(self.every)
-    }
-
-    /// Starts the cadence from `resolved` without writing a file — for
-    /// knowledge that predates this checkpointer (preloads, bootstraps):
-    /// only *new* resolutions should count toward the next snapshot.
-    pub fn mark_saved(&mut self, resolved: u64) {
-        self.last_saved = resolved;
-    }
-
-    /// Snapshots if due; returns whether a file was written.
-    pub fn maybe_save(
-        &mut self,
-        resolved: u64,
-        manifest: &[(String, String)],
-        edges: impl IntoIterator<Item = (Pair, f64)>,
-    ) -> io::Result<bool> {
-        if !self.due(resolved) {
-            return Ok(false);
-        }
-        self.save_now(resolved, manifest, edges)?;
-        Ok(true)
-    }
-
-    /// Snapshots unconditionally (e.g. on budget exhaustion or at exit).
-    pub fn save_now(
-        &mut self,
-        resolved: u64,
-        manifest: &[(String, String)],
-        edges: impl IntoIterator<Item = (Pair, f64)>,
-    ) -> io::Result<usize> {
-        let count = write_checkpoint_file(&self.path, manifest, edges)?;
-        self.last_saved = resolved;
-        self.saves += 1;
-        Ok(count)
-    }
-
-    /// Snapshots taken so far.
-    pub fn saves(&self) -> u64 {
-        self.saves
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::save_known;
 
     fn sample_edges() -> Vec<(Pair, f64)> {
         vec![(Pair::new(0, 1), 0.5), (Pair::new(2, 7), 1.0 / 3.0)]
@@ -411,6 +436,10 @@ mod tests {
             ("n".into(), "200".into()),
             ("seed".into(), "42".into()),
         ]
+    }
+
+    fn lenient(text: &str) -> CheckpointRecovery {
+        load_checkpoint_lenient(text.as_bytes()).expect("io ok")
     }
 
     #[test]
@@ -426,20 +455,166 @@ mod tests {
     }
 
     #[test]
-    fn checkpoints_are_plain_caches_to_load_known() {
+    fn roundtrip_exact() {
+        let edges = vec![
+            (Pair::new(0, 1), 0.1),
+            (Pair::new(5, 2), 1.0 / 3.0),
+            (Pair::new(7, 100), f64::MIN_POSITIVE),
+        ];
+        let mut buf = Vec::new();
+        let n = save_checkpoint(&mut buf, &[], edges.clone()).expect("write");
+        assert_eq!(n, 3);
+        let back = load_checkpoint(&buf[..]).expect("read");
+        assert_eq!(back.known, edges, "bit-exact distances after round-trip");
+    }
+
+    #[test]
+    fn checkpoints_are_plain_v1_caches() {
+        // Every `#` line is a comment to the v1 grammar: a v2 file with
+        // its version, manifest, and CRC lines stripped is a v1 cache of
+        // the same edges.
         let mut buf = Vec::new();
         save_checkpoint(&mut buf, &sample_manifest(), sample_edges()).expect("write");
-        let back = load_known(&buf[..]).expect("cache-compatible");
-        assert_eq!(back, sample_edges());
+        let text = String::from_utf8(buf).expect("utf8");
+        let data: String = text
+            .lines()
+            .filter(|l| !l.starts_with('#'))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        let ck = load_checkpoint(data.as_bytes()).expect("v1 load");
+        assert_eq!(ck.known, sample_edges());
     }
 
     #[test]
     fn plain_caches_load_with_empty_manifest() {
-        let mut buf = Vec::new();
-        save_known(&mut buf, sample_edges()).expect("write");
-        let ck = load_checkpoint(&buf[..]).expect("read");
+        let v1 = "# prox resolved-distance cache v1\n\
+                  0,1,5.00000000000000000e-1\n\
+                  2,7,3.33333333333333315e-1\n";
+        let ck = load_checkpoint(v1.as_bytes()).expect("read");
         assert!(ck.manifest.is_empty());
         assert_eq!(ck.known, sample_edges());
+    }
+
+    #[test]
+    fn skips_comments_and_blank_lines() {
+        let text = "# header\n\n0,1,0.5\n  # indented comment\n2,3,0.25\n";
+        let back = load_checkpoint(text.as_bytes()).expect("read").known;
+        assert_eq!(back.len(), 2);
+        assert_eq!(back[0], (Pair::new(0, 1), 0.5));
+    }
+
+    #[test]
+    fn rejects_malformed_lines() {
+        for (bad, reason) in [
+            ("0,1", "bad distance"),
+            ("0,1,0.5,extra", "trailing fields"),
+            ("x,1,0.5", "bad first id"),
+            ("0,y,0.5", "bad second id"),
+            ("1,1,0.5", "self-loop"),
+            ("0,1,-0.5", "finite and non-negative"),
+            ("0,1,NaN_", "bad distance"),
+            ("0,1,inf", "finite and non-negative"),
+        ] {
+            let err = load_checkpoint(format!("{bad}\n").as_bytes()).expect_err(bad);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            let msg = err.to_string();
+            assert!(
+                msg.contains("line 1") && msg.contains(reason),
+                "{bad:?}: unexpected message {msg}"
+            );
+        }
+    }
+
+    #[test]
+    fn canonicalizes_pair_order() {
+        let back = load_checkpoint("9,4,0.25\n".as_bytes()).expect("read");
+        assert_eq!(back.known[0].0.ends(), (4, 9));
+    }
+
+    #[test]
+    fn dedupes_bit_identical_repeats() {
+        let back = load_checkpoint("0,1,0.5\n1,0,0.5\n0,1,0.5\n".as_bytes()).expect("read");
+        assert_eq!(back.known, vec![(Pair::new(0, 1), 0.5)]);
+    }
+
+    #[test]
+    fn rejects_conflicting_duplicate_pairs() {
+        let err = load_checkpoint("0,1,0.5\n2,3,0.25\n1,0,0.75\n".as_bytes())
+            .expect_err("conflicting repeat must not load");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let msg = err.to_string();
+        assert!(
+            msg.contains("line 3") && msg.contains("conflicting duplicate pair"),
+            "unexpected message: {msg}"
+        );
+    }
+
+    #[test]
+    fn lenient_load_of_clean_file_matches_strict() {
+        let text = "# header\n0,1,0.5\n2,3,0.25\n";
+        let rec = lenient(text);
+        let strict = load_checkpoint(text.as_bytes()).expect("strict");
+        assert_eq!(rec.checkpoint, strict);
+        assert!(!rec.recovered);
+        assert_eq!(rec.dropped_lines, 0);
+        assert!(rec.reasons.is_empty());
+    }
+
+    #[test]
+    fn lenient_load_skips_truncated_tail() {
+        // A torn write cut the last line: before its distance field, or
+        // inside it where what is left still parses as a number.
+        for torn in ["0,1,0.5\n2,3,0.25\n4,5", "0,1,0.5\n2,3,0.25\n4,5,5"] {
+            let rec = lenient(torn);
+            assert_eq!(rec.checkpoint.known.len(), 2);
+            assert_eq!(rec.dropped_lines, 1);
+            assert!(
+                rec.reasons[0].starts_with("line 3: unterminated last line (torn write)"),
+                "{:?}",
+                rec.reasons
+            );
+            assert!(load_checkpoint(torn.as_bytes()).is_err());
+        }
+        // No writer leaves an empty file or half a header line either.
+        for torn in ["", "# prox resolved-dis"] {
+            assert!(lenient(torn).recovered, "{torn:?}");
+            assert!(load_checkpoint(torn.as_bytes()).is_err(), "{torn:?}");
+        }
+    }
+
+    #[test]
+    fn lenient_load_skips_nan_distances() {
+        let rec = lenient("0,1,0.5\n2,3,NaN\n4,5,0.7\n");
+        assert_eq!(
+            rec.checkpoint.known,
+            vec![(Pair::new(0, 1), 0.5), (Pair::new(4, 5), 0.7)]
+        );
+        assert_eq!(rec.dropped_lines, 1);
+        assert!(
+            rec.reasons[0].contains("line 2") && rec.reasons[0].contains("finite"),
+            "{:?}",
+            rec.reasons
+        );
+    }
+
+    #[test]
+    fn lenient_load_keeps_first_of_conflicting_duplicates() {
+        let rec = lenient("0,1,0.5\n1,0,0.75\n2,3,0.25\n");
+        assert_eq!(
+            rec.checkpoint.known,
+            vec![(Pair::new(0, 1), 0.5), (Pair::new(2, 3), 0.25)]
+        );
+        assert_eq!(rec.dropped_lines, 1);
+        assert!(
+            rec.reasons[0].contains("line 2")
+                && rec.reasons[0].contains("conflicting duplicate pair"),
+            "{:?}",
+            rec.reasons
+        );
+        // Bit-identical repeats still dedupe silently.
+        let rec = lenient("0,1,0.5\n1,0,0.5\n");
+        assert_eq!(rec.checkpoint.known.len(), 1);
+        assert_eq!(rec.dropped_lines, 0);
     }
 
     #[test]
@@ -530,25 +705,48 @@ mod tests {
     }
 
     #[test]
-    fn lenient_load_recovers_prefix_after_tail_flip() {
+    fn strict_load_names_the_unverified_tail() {
         let mut buf = Vec::new();
-        save_checkpoint(&mut buf, &sample_manifest(), many_edges(200)).expect("write");
-        // Corrupt a byte in the last quarter of the file.
-        let at = buf.len() - buf.len() / 8;
-        buf[at] ^= 0x01;
-        let rec = load_checkpoint_lenient(&buf[..]).expect("recoverable");
-        assert!(rec.recovered);
-        assert!(rec.dropped_lines > 0);
-        // At least the blocks before the flip survived, and everything
-        // recovered is bit-exact truth.
-        assert!(rec.checkpoint.known.len() >= CRC_BLOCK_LINES);
-        let truth = many_edges(200);
-        assert_eq!(
-            rec.checkpoint.known[..],
-            truth[..rec.checkpoint.known.len()],
-            "recovered prefix is exact"
+        save_checkpoint(&mut buf, &[], many_edges(100)).expect("write");
+        buf.truncate(buf.len() - 30);
+        let err = load_checkpoint(&buf[..]).expect_err("torn trailer");
+        let msg = err.to_string();
+        // The version line, the comment header, 64 data lines and the
+        // first marker (line 67) verify; the other 36 data lines do not.
+        assert!(
+            msg.starts_with(
+                "line 68: checkpoint failed CRC verification (36 trailing line(s) unverified)"
+            ),
+            "{msg}"
         );
-        assert_eq!(rec.checkpoint.manifest, sample_manifest());
+    }
+
+    #[test]
+    fn lenient_load_recovers_prefix_after_tail_flip() {
+        let mut clean = Vec::new();
+        save_checkpoint(&mut clean, &sample_manifest(), many_edges(200)).expect("write");
+        // Corrupt a byte in the last quarter of the file, once keeping
+        // it ASCII and once making it invalid UTF-8: the CRC decides
+        // either way, before anything is decoded.
+        let at = clean.len() - clean.len() / 8;
+        for mask in [0x01, 0x80] {
+            let mut buf = clean.clone();
+            buf[at] ^= mask;
+            let rec = load_checkpoint_lenient(&buf[..]).expect("recoverable");
+            assert!(rec.recovered);
+            assert!(rec.dropped_lines > 0);
+            // At least the blocks before the flip survived, and
+            // everything recovered is bit-exact truth.
+            assert!(rec.checkpoint.known.len() >= CRC_BLOCK_LINES);
+            let truth = many_edges(200);
+            assert_eq!(
+                rec.checkpoint.known[..],
+                truth[..rec.checkpoint.known.len()],
+                "recovered prefix is exact (mask {mask:#x})"
+            );
+            assert_eq!(rec.checkpoint.manifest, sample_manifest());
+            assert!(load_checkpoint(&buf[..]).is_err(), "strict still refuses");
+        }
     }
 
     #[test]
@@ -582,18 +780,33 @@ mod tests {
     #[test]
     fn lenient_load_handles_v1_files() {
         // Clean v1 cache: loads fully, not marked recovered.
-        let mut clean = Vec::new();
-        save_known(&mut clean, sample_edges()).expect("write");
-        let rec = load_checkpoint_lenient(&clean[..]).expect("v1 ok");
+        let rec = lenient("0,1,0.5\n2,7,3.33333333333333315e-1\n");
         assert!(!rec.recovered);
         assert_eq!(rec.checkpoint.known, sample_edges());
         // Damaged v1 cache: parseable lines survive, damage is counted.
-        let torn = "#! algo=prim\n0,1,0.5\n2,3,garbage\n";
-        let rec = load_checkpoint_lenient(torn.as_bytes()).expect("v1 salvage");
+        let rec = lenient("#! algo=prim\n0,1,0.5\n2,3,garbage\n");
         assert!(rec.recovered);
         assert_eq!(rec.dropped_lines, 1);
         assert_eq!(rec.checkpoint.known, vec![(Pair::new(0, 1), 0.5)]);
         assert_eq!(rec.checkpoint.manifest_value("algo"), Some("prim"));
+        // A byte that is not UTF-8 drops its line, not the file.
+        let rec = load_checkpoint_lenient(&b"0,1,0.5\n2,3,0.2\x805\n"[..]).expect("v1 salvage");
+        assert_eq!(rec.checkpoint.known, vec![(Pair::new(0, 1), 0.5)]);
+        assert!(rec.reasons[0].starts_with("line 2: bad distance"));
+    }
+
+    #[test]
+    fn damaged_version_line_is_still_verified() {
+        let mut buf = Vec::new();
+        save_checkpoint(&mut buf, &[], many_edges(100)).expect("write");
+        // `#! ckpt_version=2` -> `#! dkpt_version=2`: no version line is
+        // left, but the CRC markers still make it a v2 file, and none of
+        // them verifies any more.
+        buf[3] ^= 0x07;
+        assert!(buf.starts_with(b"#! dkpt_version=2\n"));
+        assert!(load_checkpoint(&buf[..]).is_err());
+        let err = load_checkpoint_lenient(&buf[..]).expect_err("nothing verifies");
+        assert!(err.to_string().contains("no CRC-verifiable prefix"));
     }
 
     #[test]
@@ -614,19 +827,6 @@ mod tests {
         assert_eq!(lenient.dropped_lines, 0);
         assert_eq!(strict, lenient.checkpoint);
         assert_eq!(strict.known, many_edges(100));
-        fs::remove_file(&path).expect("cleanup");
-    }
-
-    #[test]
-    fn checkpointer_honours_cadence() {
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("prox-ckpt-cadence-{}.csv", std::process::id()));
-        let mut ck = Checkpointer::new(&path, 10);
-        assert!(!ck.maybe_save(5, &[], sample_edges()).expect("io"));
-        assert!(ck.maybe_save(10, &[], sample_edges()).expect("io"));
-        assert!(!ck.maybe_save(15, &[], sample_edges()).expect("io"));
-        assert!(ck.maybe_save(20, &[], sample_edges()).expect("io"));
-        assert_eq!(ck.saves(), 2);
         fs::remove_file(&path).expect("cleanup");
     }
 }

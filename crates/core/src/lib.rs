@@ -28,7 +28,6 @@ pub mod invariant;
 pub mod metric;
 pub mod oracle;
 pub mod pair;
-pub mod persist;
 pub mod rng;
 pub mod spec;
 pub mod stats;
@@ -36,7 +35,7 @@ pub mod weak;
 
 pub use checkpoint::{
     load_checkpoint, load_checkpoint_lenient, read_checkpoint_file, read_checkpoint_file_lenient,
-    save_checkpoint, write_checkpoint_file, Checkpoint, CheckpointRecovery, Checkpointer,
+    save_checkpoint, write_checkpoint_file, Checkpoint, CheckpointRecovery,
 };
 pub use crc::{crc32, Crc32};
 pub use fault::{
@@ -46,7 +45,6 @@ pub use fault::{
 pub use metric::{FnMetric, MatrixMetric, Metric, MetricCheck};
 pub use oracle::Oracle;
 pub use pair::{Pair, PairMap};
-pub use persist::{load_known, load_known_lenient, save_known, LoadReport};
 pub use rng::TinyRng;
 pub use spec::{QueryGoal, SpecBounds, SpecScratch};
 pub use stats::{OracleStats, PruneStats};

@@ -246,17 +246,24 @@ enum TailRead {
 /// check also keeps a torn header from falling back to the unverified
 /// v1 parse path: every segment this log writes is v2, so a tail that
 /// no longer says so is torn, not trustworthy.
+///
+/// The file is read as bytes, never decoded before the CRC check: a tear
+/// or flip that leaves invalid UTF-8 behind is damage like any other.
 fn read_tail(path: &Path) -> io::Result<TailRead> {
-    let text = std::fs::read_to_string(path)?;
-    let destroyed = |t: &str| TailRead::Destroyed {
-        dropped_lines: t.lines().filter(|l| !l.trim().is_empty()).count() as u64,
+    let bytes = std::fs::read(path)?;
+    let destroyed = || TailRead::Destroyed {
+        dropped_lines: bytes
+            .split(|&b| b == b'\n')
+            .filter(|l| !l.trim_ascii().is_empty())
+            .count() as u64,
     };
-    if text.lines().next().map(str::trim) != Some("#! ckpt_version=2") {
-        return Ok(destroyed(&text));
+    let first_line = bytes.split(|&b| b == b'\n').next().map(<[u8]>::trim_ascii);
+    if first_line != Some(b"#! ckpt_version=2".as_slice()) {
+        return Ok(destroyed());
     }
-    match load_checkpoint_lenient(text.as_bytes()) {
+    match load_checkpoint_lenient(bytes.as_slice()) {
         Ok(rec) => Ok(TailRead::Salvaged(rec)),
-        Err(e) if e.kind() == io::ErrorKind::InvalidData => Ok(destroyed(&text)),
+        Err(e) if e.kind() == io::ErrorKind::InvalidData => Ok(destroyed()),
         Err(e) => Err(e),
     }
 }
@@ -451,6 +458,31 @@ mod tests {
         assert!(rec.salvaged);
         assert_eq!(rec.dropped_lines, 0, "an empty file holds no lines to drop");
         assert_eq!(known, entries[..4]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn non_utf8_tail_salvages_verified_prefix() {
+        let dir = tmpdir("nonutf8");
+        let cfg = WalConfig {
+            segment_entries: 256,
+        };
+        let entries = pairs(70);
+        {
+            let (mut wal, _, _) = WriteAheadLog::recover(&dir, &manifest(), cfg).unwrap();
+            wal.append(&entries).unwrap();
+        }
+        // Turn one byte of the unmarked tail block into invalid UTF-8.
+        let path = segment_path(&dir, 0);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let at = bytes.len() - 60;
+        bytes[at] ^= 0x80;
+        std::fs::write(&path, &bytes).unwrap();
+
+        let (_, known, rec) = WriteAheadLog::recover(&dir, &manifest(), cfg).unwrap();
+        assert!(rec.salvaged);
+        assert_eq!(known, entries[..64], "the marker-verified block survives");
+        assert!(rec.dropped_lines > 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
